@@ -21,7 +21,9 @@
 // without a feasible solution); 3 = -timeout expired before any
 // feasible solution; 4 = malformed input (parse error or resource
 // limit, with line/column context on stderr); 5 = the -trace-out
-// span timeline could not be written.
+// span timeline could not be written; 6 = usage error (unknown or
+// malformed flag, wrong argument count). -h prints the usage and
+// exits 0.
 package main
 
 import (
@@ -84,12 +86,22 @@ exit codes:
   3  -timeout expired before any feasible solution was found
   4  malformed input: parse error or resource limit (line/column on stderr)
   5  -trace-out span timeline could not be written
+  6  usage error: unknown or malformed flag, wrong argument count
 `)
 	}
-	flag.Parse()
+	// ContinueOnError keeps a bad flag off exit 2, which means
+	// "infeasible" here; the flag package has already printed the
+	// error and the usage when Parse fails.
+	flag.CommandLine.Init("kpart", flag.ContinueOnError)
+	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
+		os.Exit(exitUsage)
+	}
 	if flag.NArg() != 1 {
 		flag.Usage()
-		os.Exit(1)
+		os.Exit(exitUsage)
 	}
 	stopProf, err := profFlags.Start()
 	if err != nil {
@@ -127,6 +139,9 @@ exit codes:
 		os.Exit(exitCode(err))
 	}
 }
+
+// exitUsage is the exit code of a command-line usage error.
+const exitUsage = 6
 
 // exitCode maps failure modes to the documented exit codes. The budget
 // check comes first: a timeout with no feasible solution wraps both

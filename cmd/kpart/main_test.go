@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -218,6 +219,42 @@ func TestExitCodes(t *testing.T) {
 	}
 	if got := exitCode(fmt.Errorf("wrap: %w", &hypergraph.ParseError{Line: 7})); got != 4 {
 		t.Fatalf("hypergraph parse error -> %d, want 4", got)
+	}
+}
+
+// TestUsageExitCode runs the built binary: a bad flag and a wrong
+// argument count exit 6 (never 2, which means "infeasible"), while -h
+// prints the usage and exits 0.
+func TestUsageExitCode(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "kpart")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+		want int
+	}{
+		{"unknown flag", []string{"-no-such-flag", "c.clb"}, exitUsage},
+		{"malformed flag", []string{"-solutions", "many", "c.clb"}, exitUsage},
+		{"no arguments", nil, exitUsage},
+		{"two arguments", []string{"a.clb", "b.clb"}, exitUsage},
+		{"help", []string{"-h"}, 0},
+	} {
+		out, err := exec.Command(bin, tc.args...).CombinedOutput()
+		got := 0
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			got = exit.ExitCode()
+		} else if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: exit %d, want %d\n%s", tc.name, got, tc.want, out)
+		}
+		if !strings.Contains(string(out), "usage: kpart") {
+			t.Errorf("%s: no usage text in output:\n%s", tc.name, out)
+		}
 	}
 }
 

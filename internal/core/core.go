@@ -25,7 +25,6 @@ import (
 	"fpgapart/internal/kway"
 	"fpgapart/internal/library"
 	"fpgapart/internal/netlist"
-	"fpgapart/internal/objective"
 	"fpgapart/internal/replication"
 	"fpgapart/internal/span"
 	"fpgapart/internal/techmap"
@@ -169,14 +168,12 @@ func PartitionContext(ctx context.Context, g *hypergraph.Graph, opts Options) (R
 		Trace:           opts.Trace,
 		Inject:          opts.Inject,
 		Now:             opts.Now,
+		Board:           opts.Board,
 		Checkpoint:      opts.Checkpoint,
 		CheckpointEvery: opts.CheckpointEvery,
 		Resume:          opts.Resume,
 		Spans:           opts.Spans,
 		Seed:            opts.Seed,
-	}
-	if opts.Board != nil {
-		kopts.Objective = objective.NewTopology(opts.Board)
 	}
 	res, err := kway.PartitionContext(ctx, g, kopts)
 	if err != nil {

@@ -49,7 +49,7 @@ func TestFMPassAllocs(t *testing.T) {
 			// pass applies moves and rolls them all back, so it is
 			// repeatable — exactly the steady state the engine lives in.
 			e := &r.e
-			e.cfg = cfg.withDefaults()
+			e.cfg = cfg
 			e.replOnly = tc.replOnly
 			// Bracket each pass with the disarmed span scope exactly as
 			// the phase loop does: a zero Scope must cost a predicted

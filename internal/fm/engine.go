@@ -39,8 +39,6 @@ type Config struct {
 	// multi-output cells with ψ ≥ T may replicate. NoReplication (-1)
 	// disables replication entirely (plain FM).
 	Threshold int
-	// MaxPasses caps FM passes (default 24).
-	MaxPasses int
 	// RefineWorkers selects the refinement engine. Values >= 2 run the
 	// deterministic parallel sub-round engine (package parfm) with
 	// that many proposal workers; 0 or 1 run the classic serial engine
@@ -75,13 +73,6 @@ type Config struct {
 	// the run, labeled with TraceAttempt). Testing only; nil in
 	// production keeps the pass loop allocation-free.
 	Inject *faultinject.Plan
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxPasses == 0 {
-		c.MaxPasses = 24
-	}
-	return c
 }
 
 // Result summarizes a run.
@@ -195,7 +186,6 @@ func (e *engine) bind(st *replication.State) {
 // Run is the Runner form of the package-level Run, reusing buffers
 // from previous runs on the same graph.
 func (r *Runner) Run(st *replication.State, cfg Config) (Result, error) {
-	cfg = cfg.withDefaults()
 	if cfg.RefineWorkers >= 2 {
 		// Parallel sub-round engine. It shares the FM phase structure
 		// and validation; only the pass scheduling differs. FlowRefine
@@ -203,8 +193,7 @@ func (r *Runner) Run(st *replication.State, cfg Config) (Result, error) {
 		// identically.
 		pres, err := r.par.Run(st, parfm.Config{
 			MinArea: cfg.MinArea, MaxArea: cfg.MaxArea,
-			Threshold: cfg.Threshold, MaxPasses: cfg.MaxPasses,
-			Workers: cfg.RefineWorkers, Seed: cfg.Seed,
+			Threshold: cfg.Threshold, Workers: cfg.RefineWorkers, Seed: cfg.Seed,
 			Trace: cfg.Trace, TraceAttempt: cfg.TraceAttempt,
 			Spans:  cfg.Spans,
 			Inject: cfg.Inject,
@@ -258,7 +247,7 @@ func (r *Runner) Run(st *replication.State, cfg Config) (Result, error) {
 		e.cfg.Threshold = threshold
 		e.replOnly = replOnly
 		any := false
-		for pass := 0; pass < cfg.MaxPasses; pass++ {
+		for pass := 0; pass < parfm.MaxPasses; pass++ {
 			if cfg.Inject != nil {
 				if err := cfg.Inject.At(faultinject.SitePass, cfg.TraceAttempt, res.Passes, cfg.Seed); err != nil {
 					injectErr = err
@@ -285,7 +274,7 @@ func (r *Runner) Run(st *replication.State, cfg Config) (Result, error) {
 		// unreplicate so that cut-neutral single moves cannot crowd out
 		// replication opportunities; the following plain phase then
 		// re-optimizes positions.
-		for round := 0; round < cfg.MaxPasses; round++ {
+		for round := 0; round < parfm.MaxPasses; round++ {
 			p := phase(NoReplication, false)
 			rr := phase(cfg.Threshold, true)
 			if (!p && !rr) || injectErr != nil {

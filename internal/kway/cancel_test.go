@@ -200,8 +200,6 @@ func TestNegativeOptionsRejected(t *testing.T) {
 		mut  func(*Options)
 	}{
 		{"Solutions", func(o *Options) { o.Solutions = -1 }},
-		{"Retries", func(o *Options) { o.Retries = -3 }},
-		{"MaxPasses", func(o *Options) { o.MaxPasses = -2 }},
 		{"MaxStale", func(o *Options) { o.MaxStale = -1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,19 +1,24 @@
-package objective
+package kway
 
 import (
+	"fmt"
 	"testing"
 
+	"fpgapart/internal/hypergraph"
 	"fpgapart/internal/topology"
 )
 
-func TestTerminalCutIsInert(t *testing.T) {
-	var m Model = TerminalCut{}
-	if m.Board() != nil || m.SpanCost(topology.SlotSet(0).Add(1)) != 0 {
-		t.Fatal("terminal-cut model must be topology-free")
+// carveFixture returns a tracker on board b and a subcircuit whose net
+// i is already placed on spans[i].
+func carveFixture(b *topology.Board, spans []topology.SlotSet) (*slotTracker, *hypergraph.Graph) {
+	tr := newSlotTracker(b)
+	sub := &hypergraph.Graph{Nets: make([]hypergraph.Net, len(spans))}
+	for i, span := range spans {
+		name := fmt.Sprintf("n%d", i)
+		sub.Nets[i].Name = name
+		tr.spans[name] = span
 	}
-	if w := m.CarveWeights(make([]topology.SlotSet, 3), 0, 1, nil); w != nil {
-		t.Fatalf("terminal-cut weights = %v, want nil (classic unit-cut path)", w)
-	}
+	return tr, sub
 }
 
 func TestTopologyCarveWeightsLinear(t *testing.T) {
@@ -21,10 +26,9 @@ func TestTopologyCarveWeightsLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m Model = NewTopology(b)
 	// Nets: empty span, span {0}, span {0,1}. Carve between s0=2, s1=3.
-	spans := []topology.SlotSet{0, topology.SlotSet(0).Add(0), topology.SlotSet(0).Add(0).Add(1)}
-	w := m.CarveWeights(spans, 2, 3, nil)
+	tr, sub := carveFixture(b, []topology.SlotSet{0, topology.SlotSet(0).Add(0), topology.SlotSet(0).Add(0).Add(1)})
+	w := tr.carveWeights(sub, 2, 3)
 	if len(w) != 3 {
 		t.Fatalf("%d weights, want 3", len(w))
 	}
@@ -40,8 +44,9 @@ func TestTopologyCarveWeightsLinear(t *testing.T) {
 	if w[2].Alone != [2]int32{1, 2} || w[2].Both != 2 {
 		t.Fatalf("span{0,1} weights %+v", w[2])
 	}
-	if m.SpanCost(spans[2]) != 1 {
-		t.Fatalf("span cost {0,1} = %d, want 1", m.SpanCost(spans[2]))
+	// Only span {0,1} costs anything so far: one hop.
+	if c := tr.cost(); c != 1 {
+		t.Fatalf("placed span cost = %d, want 1", c)
 	}
 }
 
@@ -50,12 +55,11 @@ func TestTopologyCarveWeightsCrossbar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewTopology(b)
 	// On a crossbar every new slot costs 1 once the span is non-empty,
 	// so cutting always costs exactly 1 more than not cutting: the
 	// flat-cut regime with a constant offset.
-	spans := []topology.SlotSet{0, topology.SlotSet(0).Add(0), topology.SlotSet(0).Add(0).Add(1)}
-	for i, w := range m.CarveWeights(spans, 2, 3, nil) {
+	tr, sub := carveFixture(b, []topology.SlotSet{0, topology.SlotSet(0).Add(0), topology.SlotSet(0).Add(0).Add(1)})
+	for i, w := range tr.carveWeights(sub, 2, 3) {
 		if w.Both-w.Alone[0] != 1 || w.Both-w.Alone[1] != 1 {
 			t.Fatalf("net %d: crossbar weights %+v not cut+1", i, w)
 		}
@@ -67,10 +71,9 @@ func TestCarveWeightsReuseBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewTopology(b)
-	spans := make([]topology.SlotSet, 8)
-	first := m.CarveWeights(spans, 0, 1, nil)
-	second := m.CarveWeights(spans, 0, 1, first)
+	tr, sub := carveFixture(b, make([]topology.SlotSet, 8))
+	first := tr.carveWeights(sub, 0, 1)
+	second := tr.carveWeights(sub, 0, 1)
 	if &first[0] != &second[0] {
 		t.Fatal("buffer not reused")
 	}

@@ -30,7 +30,6 @@ import (
 	"fpgapart/internal/library"
 	"fpgapart/internal/metrics"
 	"fpgapart/internal/multilevel"
-	"fpgapart/internal/objective"
 	"fpgapart/internal/replication"
 	"fpgapart/internal/search"
 	"fpgapart/internal/span"
@@ -48,11 +47,6 @@ type Options struct {
 	// Solutions is the number of feasible k-way solutions to generate
 	// (the paper reports runs generating 50). Default 50.
 	Solutions int
-	// Retries is the number of carve attempts (seed/device/fill
-	// variations) before a solution attempt is abandoned. Default 20.
-	Retries int
-	// MaxPasses caps FM passes per carve (default: engine default).
-	MaxPasses int
 	// RefineWorkers selects the refinement engine for every FM run the
 	// search performs (carves, V-cycle levels, pair refinement):
 	// values >= 2 use the deterministic parallel sub-round engine
@@ -113,19 +107,17 @@ type Options struct {
 	// results are byte-identical with or without phase tracing — and
 	// no clock is read at all when Trace is nil.
 	Now func() time.Time
-	// Objective selects the partition cost model (internal/objective).
-	// Nil — or any model whose Board() is nil, like
-	// objective.TerminalCut — keeps the classic terminal-cut engine,
-	// byte-identical to pre-objective releases (TestTopologyGateIsInert
-	// pins this against the flat golden fixtures). A board-backed model
-	// (objective.NewTopology) places part i on board slot i, weights
-	// every carve's FM run by the marginal Steiner-span cost of each
-	// net (replication.SetNetWeights), scores folded solutions by their
+	// Board, when non-nil, switches the search to the hop-weighted
+	// interconnect objective over the board's device slots: part i is
+	// placed on board slot i, every carve's FM run is weighted by the
+	// marginal Steiner-span cost of each net
+	// (replication.SetNetWeights), folded solutions are scored by their
 	// hop-weighted interconnect (Summary.TopoCost, a lexicographic
 	// tie-breaker between device cost and IOB utilization), and
-	// rejects solutions that exceed the board's slot count or any
-	// link's routing capacity (verify.Routing).
-	Objective objective.Model
+	// solutions that exceed the board's slot count or any link's
+	// routing capacity (verify.Routing) are rejected. Nil keeps the
+	// paper's terminal-cut engine (TestFlatPathGolden pins it).
+	Board *topology.Board
 	// Checkpoint, when non-nil, receives a SearchCheckpoint snapshot of
 	// the index-ordered reduction every CheckpointEvery folded attempts
 	// (and at the final fold). Snapshots arrive from the single-threaded
@@ -248,15 +240,13 @@ const SeedStride = 104729
 // engine would.
 const DefaultSolutions = 50
 
+// carveRetries is the number of carve tries (seed/device/fill
+// variations) before a solution attempt is abandoned.
+const carveRetries = 20
+
 func (o Options) withDefaults() (Options, error) {
 	if o.Solutions < 0 {
 		return o, fmt.Errorf("kway: Solutions must be non-negative, got %d", o.Solutions)
-	}
-	if o.Retries < 0 {
-		return o, fmt.Errorf("kway: Retries must be non-negative, got %d", o.Retries)
-	}
-	if o.MaxPasses < 0 {
-		return o, fmt.Errorf("kway: MaxPasses must be non-negative, got %d", o.MaxPasses)
 	}
 	if o.MaxStale < 0 {
 		return o, fmt.Errorf("kway: MaxStale must be non-negative, got %d", o.MaxStale)
@@ -272,9 +262,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.Solutions == 0 {
 		o.Solutions = DefaultSolutions
-	}
-	if o.Retries == 0 {
-		o.Retries = 20
 	}
 	if o.MultilevelMinCells == 0 {
 		o.MultilevelMinCells = 512
@@ -695,27 +682,24 @@ type carveScratch struct {
 }
 
 // slotTracker maintains the board-slot placement of one solution
-// attempt under a board-backed objective: the recursive carve produces
-// parts in index order and part i occupies board slot i, so spans
-// accumulates, per source net name, the set of slots already hosting
-// the net. During a carve of the remainder the carved block is headed
-// for slot s0 = len(parts) and the rest is anchored (greedily) at the
-// next slot s0+1; the model turns each net's placed span into a
-// NetWeights triple for the FM run. nil tracker = flat terminal-cut
-// engine.
+// attempt on a board: the recursive carve produces parts in index
+// order and part i occupies board slot i, so spans accumulates, per
+// source net name, the set of slots already hosting the net. During a
+// carve of the remainder the carved block is headed for slot
+// s0 = len(parts) and the rest is anchored (greedily) at the next slot
+// s0+1; each net's placed span becomes a NetWeights triple for the FM
+// run. nil tracker = flat terminal-cut engine.
 type slotTracker struct {
-	model     objective.Model
 	board     *topology.Board
 	spans     map[string]topology.SlotSet
-	spanBuf   []topology.SlotSet
 	weightBuf []replication.NetWeights
 }
 
-func newSlotTracker(m objective.Model) *slotTracker {
-	if m == nil || m.Board() == nil {
+func newSlotTracker(b *topology.Board) *slotTracker {
+	if b == nil {
 		return nil
 	}
-	return &slotTracker{model: m, board: m.Board(), spans: make(map[string]topology.SlotSet)}
+	return &slotTracker{board: b, spans: make(map[string]topology.SlotSet)}
 }
 
 // place records a finished part occupying slot: every net of the part
@@ -729,31 +713,51 @@ func (tr *slotTracker) place(g *hypergraph.Graph, slot int) {
 
 // carveWeights derives the per-net weight table for a carve of sub
 // between slot s0 (the carved block) and anchor s1 (the remainder).
+// For net i with already-placed span S:
+//
+//	Alone[0] = SpanCost(S∪{s0}) − SpanCost(S)     net stays only in the part
+//	Alone[1] = SpanCost(S∪{s1}) − SpanCost(S)     net stays only in the rest
+//	Both     = SpanCost(S∪{s0,s1}) − SpanCost(S)  net is cut at this carve
+//
+// so an FM run minimizing the weighted sum minimizes the final
+// hop-weighted interconnect, greedily over the carve sequence. Nets
+// with an empty span and no cut cost nothing, exactly like the flat
+// objective; on a crossbar the table degenerates to {1,1,2}-style
+// constants and FM reduces to cut minimization with a per-net offset.
+// The returned table reuses the tracker's buffer.
 func (tr *slotTracker) carveWeights(sub *hypergraph.Graph, s0, s1 int) []replication.NetWeights {
-	tr.spanBuf = tr.spanBuf[:0]
+	w := tr.weightBuf[:0]
 	for ni := range sub.Nets {
-		tr.spanBuf = append(tr.spanBuf, tr.spans[sub.Nets[ni].Name])
+		span := tr.spans[sub.Nets[ni].Name]
+		base := tr.board.SpanCost(span)
+		w = append(w, replication.NetWeights{
+			Alone: [2]int32{
+				int32(tr.board.SpanCost(span.Add(s0)) - base),
+				int32(tr.board.SpanCost(span.Add(s1)) - base),
+			},
+			Both: int32(tr.board.SpanCost(span.Add(s0).Add(s1)) - base),
+		})
 	}
-	tr.weightBuf = tr.model.CarveWeights(tr.spanBuf, s0, s1, tr.weightBuf)
-	return tr.weightBuf
+	tr.weightBuf = w
+	return w
 }
 
-// cost is the solution's hop-weighted interconnect: the model's span
+// cost is the solution's hop-weighted interconnect: the board's span
 // cost summed over every net (integer sum — order-independent, so the
 // map iteration is safe).
 func (tr *slotTracker) cost() int {
 	total := 0
 	for _, span := range tr.spans {
-		total += tr.model.SpanCost(span)
+		total += tr.board.SpanCost(span)
 	}
 	return total
 }
 
 // partitionOnce builds one complete k-way solution or fails. The
-// returned tracker is nil unless a board-backed objective is armed.
+// returned tracker is nil unless a board is armed.
 func partitionOnce(ctx context.Context, g *hypergraph.Graph, opts Options, attempt int, seed int64, sc *carveScratch) ([]Part, *slotTracker, error) {
 	r := rand.New(rand.NewSource(seed))
-	tr := newSlotTracker(opts.Objective)
+	tr := newSlotTracker(opts.Board)
 	queue := []*hypergraph.Graph{g}
 	var parts []Part
 	guard := 0
@@ -853,7 +857,7 @@ func carve(ctx context.Context, sub *hypergraph.Graph, opts Options, attempt int
 	want := maxFit
 	termPressure := false
 	termFails := 0
-	for try := 0; try < opts.Retries; try++ {
+	for try := 0; try < carveRetries; try++ {
 		// Deterministic cancellation checkpoint, mirroring the one at
 		// the carve-queue boundary.
 		if cerr := ctx.Err(); cerr != nil {
@@ -1011,7 +1015,6 @@ func carveFM(sub *hypergraph.Graph, d library.Device, target, total int, opts Op
 		MinArea:       [2]int{minCarve, 0},
 		MaxArea:       [2]int{d.MaxCLBs(), total - minCarve},
 		Threshold:     opts.Threshold,
-		MaxPasses:     opts.MaxPasses,
 		RefineWorkers: opts.RefineWorkers,
 		Seed:          seed,
 		Trace:         opts.Trace,
@@ -1033,7 +1036,6 @@ func carveFM(sub *hypergraph.Graph, d library.Device, target, total int, opts Op
 			MinArea:       cfg.MinArea,
 			MaxArea:       cfg.MaxArea,
 			PinExternal:   pinTerminals,
-			MaxPasses:     opts.MaxPasses,
 			RefineWorkers: opts.RefineWorkers,
 			Seed:          seed,
 			Trace:         opts.Trace,

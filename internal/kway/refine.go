@@ -24,7 +24,7 @@ func Refine(g *hypergraph.Graph, res *Result, opts Options) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if opts.Objective != nil && opts.Objective.Board() != nil {
+	if opts.Board != nil {
 		// The pairwise sweep optimizes the flat terminal objective and
 		// re-materializes parts without re-checking board routing or
 		// re-scoring the hop-weighted interconnect, so board-backed
@@ -96,7 +96,6 @@ func refinePair(g *hypergraph.Graph, res *Result, i, j int, opts Options) (bool,
 		MinArea:       [2]int{pi.Device.MinCLBs(), pj.Device.MinCLBs()},
 		MaxArea:       [2]int{pi.Device.MaxCLBs(), pj.Device.MaxCLBs()},
 		Threshold:     opts.Threshold,
-		MaxPasses:     opts.MaxPasses,
 		RefineWorkers: opts.RefineWorkers,
 		Seed:          opts.Seed + int64(i)*31 + int64(j),
 	}

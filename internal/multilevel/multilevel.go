@@ -52,6 +52,13 @@ const (
 	refineStride  = 15485863
 )
 
+// Coarsening stops after maxLevels levels, or when one round keeps more
+// than coarsenRatio of the cells: matching has then saturated.
+const (
+	maxLevels    = 24
+	coarsenRatio = 0.85
+)
+
 // Config controls one V-cycle run.
 type Config struct {
 	// TargetArea is the block-0 area goal the coarsest-level seed
@@ -70,12 +77,6 @@ type Config struct {
 	// MinCells stops coarsening once a level has at most this many
 	// cells (default 96).
 	MinCells int
-	// MaxLevels caps the hierarchy depth (default 24).
-	MaxLevels int
-	// CoarsenRatio stops coarsening when one round shrinks the cell
-	// count by less than this factor — coarse/fine above the ratio
-	// means matching has saturated (default 0.85).
-	CoarsenRatio float64
 	// MaxClusterArea caps a coarse cell's area across all levels
 	// (0 = max(2, TargetArea/8)): the coarsest granularity must stay
 	// well below the block size or no coarse assignment can satisfy
@@ -97,8 +98,6 @@ type Config struct {
 	// the V-cycle usually runs inside kway's own worker pool, where
 	// nested parallelism oversubscribes).
 	Workers int
-	// MaxPasses caps FM passes per refinement (0 = engine default).
-	MaxPasses int
 	// RefineWorkers selects the FM engine for every refinement run in
 	// the cycle (coarsest partition and per-level refinement): >= 2
 	// uses the deterministic parallel sub-round engine with that many
@@ -136,12 +135,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MinCells == 0 {
 		c.MinCells = 96
-	}
-	if c.MaxLevels == 0 {
-		c.MaxLevels = 24
-	}
-	if c.CoarsenRatio == 0 {
-		c.CoarsenRatio = 0.85
 	}
 	if c.Starts == 0 {
 		c.Starts = 4
@@ -338,7 +331,7 @@ func emitLevel(cfg Config, s LevelStats) {
 
 // coarsen builds the cluster hierarchy bottom-up: one pairwise
 // matching round per level with a doubling area cap, stopping at
-// MinCells, MaxLevels, saturation (CoarsenRatio) or a contraction
+// MinCells, maxLevels, saturation (coarsenRatio) or a contraction
 // error (the current level then serves as the coarsest).
 func coarsen(g *hypergraph.Graph, cfg Config, target int) []level {
 	levels := []level{{g: g}}
@@ -355,7 +348,7 @@ func coarsen(g *hypergraph.Graph, cfg Config, target int) []level {
 			base = a
 		}
 	}
-	for len(levels)-1 < cfg.MaxLevels {
+	for len(levels)-1 < maxLevels {
 		cur := levels[len(levels)-1].g
 		if cur.NumCells() <= cfg.MinCells {
 			break
@@ -376,7 +369,7 @@ func coarsen(g *hypergraph.Graph, cfg Config, target int) []level {
 			break
 		}
 		levels = append(levels, level{g: cl.Graph, cl: cl, cap: areaCap})
-		if float64(cl.Graph.NumCells()) > cfg.CoarsenRatio*float64(cur.NumCells()) {
+		if float64(cl.Graph.NumCells()) > coarsenRatio*float64(cur.NumCells()) {
 			break
 		}
 	}
@@ -462,7 +455,6 @@ func initialPartition(lv level, cfg Config, w bounds, target int) ([]replication
 				res, err := runner.Run(st, fm.Config{
 					MinArea: w.min, MaxArea: w.max,
 					Threshold:     fm.NoReplication,
-					MaxPasses:     cfg.MaxPasses,
 					RefineWorkers: cfg.RefineWorkers,
 					Seed:          seed,
 					Trace:         cfg.Trace, TraceAttempt: cfg.TraceAttempt,
@@ -530,7 +522,6 @@ func refineLevel(runner *fm.Runner, lv level, assign []replication.Block, cfg Co
 	res, err := runner.Run(st, fm.Config{
 		MinArea: w.min, MaxArea: w.max,
 		Threshold:     fm.NoReplication,
-		MaxPasses:     cfg.MaxPasses,
 		RefineWorkers: cfg.RefineWorkers,
 		Seed:          cfg.Seed + int64(l+1)*refineStride,
 		Trace:         cfg.Trace, TraceAttempt: cfg.TraceAttempt,

@@ -59,6 +59,10 @@ import (
 // (same convention as package fm).
 const NoReplication = -1
 
+// MaxPasses caps the FM passes per phase, and the plain/replication
+// phase rounds, of both refinement engines (this one and package fm).
+const MaxPasses = 24
+
 // Config controls one parallel bipartitioning run. The fields mirror
 // fm.Config; Workers sets the proposal parallelism.
 type Config struct {
@@ -68,8 +72,6 @@ type Config struct {
 	// Threshold is the replication potential threshold T (Eq. 6);
 	// NoReplication (-1) disables replication entirely.
 	Threshold int
-	// MaxPasses caps FM passes per phase (default 24).
-	MaxPasses int
 	// Workers is the number of proposal workers (default 1). The final
 	// partition is identical for every value; only wall-clock time
 	// changes.
@@ -95,9 +97,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxPasses == 0 {
-		c.MaxPasses = 24
-	}
 	if c.Workers < 1 {
 		c.Workers = 1
 	}
@@ -239,7 +238,7 @@ func (r *Runner) Run(st *replication.State, cfg Config) (Result, error) {
 		r.cfg.Threshold = threshold
 		r.replOnly = replOnly
 		any := false
-		for pass := 0; pass < cfg.MaxPasses; pass++ {
+		for pass := 0; pass < MaxPasses; pass++ {
 			if cfg.Inject != nil {
 				if err := cfg.Inject.At(faultinject.SitePass, cfg.TraceAttempt, res.Passes, cfg.Seed); err != nil {
 					injectErr = err
@@ -261,7 +260,7 @@ func (r *Runner) Run(st *replication.State, cfg Config) (Result, error) {
 	if cfg.Threshold == NoReplication {
 		phase(NoReplication, false)
 	} else {
-		for round := 0; round < cfg.MaxPasses; round++ {
+		for round := 0; round < MaxPasses; round++ {
 			p := phase(NoReplication, false)
 			rr := phase(cfg.Threshold, true)
 			if (!p && !rr) || injectErr != nil {
