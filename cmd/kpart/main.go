@@ -411,8 +411,8 @@ func run(cfg runConfig) error {
 		// failure are the diagnosis. An unwritable timeline is its own
 		// failure mode (exit 5), mirroring the stats-stream contract.
 		jobRun.End()
-		spans, _ := tracer.Collector().Trace(jobRun.Scope().TraceID())
-		if terr := writeTrace(cfg.traceOut, spans); terr != nil && err == nil {
+		spans, dropped := tracer.Collector().Trace(jobRun.Scope().TraceID())
+		if terr := writeTrace(cfg.traceOut, spans, dropped); terr != nil && err == nil {
 			err = terr
 		}
 	}
@@ -501,13 +501,14 @@ type traceExportError struct{ err error }
 func (e *traceExportError) Error() string { return e.err.Error() }
 func (e *traceExportError) Unwrap() error { return e.err }
 
-// writeTrace writes the recorded spans as Chrome trace_event JSON.
-func writeTrace(path string, spans []span.Span) error {
+// writeTrace writes the recorded spans as Chrome trace_event JSON,
+// with the count of spans the collector dropped.
+func writeTrace(path string, spans []span.Span, dropped int) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return &traceExportError{fmt.Errorf("trace export %s: %w", path, err)}
 	}
-	err = span.WriteChromeTrace(f, spans)
+	err = span.WriteChromeTrace(f, spans, dropped)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -11,7 +11,10 @@
 // its direct children — which is where a timeline's width actually
 // goes. spanview also validates the file: a missing container field,
 // an E event without a matching B, or an unbalanced stream is a
-// non-zero exit, so CI can use it as a format checker.
+// non-zero exit, so CI can use it as a format checker. When the
+// exporter's collector dropped spans (otherData.dropped_spans > 0),
+// spanview says so: the file is still well-formed, but the timeline
+// and its wall time are partial.
 //
 // Exit codes: 0 = success; 1 = usage or I/O error; 2 = the file is
 // not well-formed Chrome trace JSON.
@@ -167,6 +170,9 @@ func render(w io.Writer, data []byte, top int) error {
 
 	fmt.Fprintf(w, "trace: %d process(es), %d spans, wall %s\n",
 		len(procs), spans, time.Duration(tmax-tmin)*time.Microsecond)
+	if n := ct.OtherData.DroppedSpans; n > 0 {
+		fmt.Fprintf(w, "dropped %d spans — timeline incomplete\n", n)
+	}
 	t := report.NewTable("", "Self", "Total", "Count", "Process", "Span")
 	for _, r := range ordered[:shown] {
 		t.Row(r.self.Round(time.Microsecond).String(), r.total.Round(time.Microsecond).String(), r.count, r.process, r.name)

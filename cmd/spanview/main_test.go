@@ -38,7 +38,7 @@ func buildTrace(t *testing.T) []byte {
 
 	spans, _ := tr.Collector().Trace(tid)
 	var sb strings.Builder
-	if err := span.WriteChromeTrace(&sb, spans); err != nil {
+	if err := span.WriteChromeTrace(&sb, spans, 0); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
 	}
 	return []byte(sb.String())
@@ -73,6 +73,38 @@ func TestRenderTopK(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "more span name(s)") {
 		t.Errorf("top-1 summary should note truncation:\n%s", out.String())
+	}
+}
+
+// TestRenderReportsDroppedSpans renders a timeline whose collector hit
+// its per-trace bound: the summary must say spans are missing, and the
+// file still renders (exit 0).
+func TestRenderReportsDroppedSpans(t *testing.T) {
+	tr := span.NewTracer(span.Options{Process: "kpart", Origin: 7, MaxSpansPerTrace: 3})
+	tid := span.DeriveTraceID("cli", 1, 4)
+	job := tr.Root(tid, 0).Start("job", -1)
+	for i := 0; i < 5; i++ {
+		job.Scope().Start("attempt", i).End()
+	}
+	job.End()
+	spans, dropped := tr.Collector().Trace(tid)
+	var sb strings.Builder
+	if err := span.WriteChromeTrace(&sb, spans, dropped); err != nil {
+		t.Fatalf("WriteChromeTrace: %v", err)
+	}
+	var out strings.Builder
+	if err := render(&out, []byte(sb.String()), 0); err != nil {
+		t.Fatalf("render: %v", err)
+	}
+	if want := "dropped 3 spans — timeline incomplete"; !strings.Contains(out.String(), want) {
+		t.Errorf("summary missing %q:\n%s", want, out.String())
+	}
+	out.Reset()
+	if err := render(&out, buildTrace(t), 0); err != nil {
+		t.Fatalf("render: %v", err)
+	}
+	if strings.Contains(out.String(), "dropped") {
+		t.Errorf("complete timeline reported drops:\n%s", out.String())
 	}
 }
 

@@ -87,23 +87,67 @@ func mustJSON(t *testing.T, v any) string {
 	return string(b)
 }
 
+// TestDistributeMatchesLocal is the coordinator's byte-identity
+// contract across the reduction's features: a plain search, a board
+// job (the topology tie-break of the comparator) and a MaxStale job
+// whose stale stop fires (the Stopped marker).
 func TestDistributeMatchesLocal(t *testing.T) {
-	req := &server.JobRequest{Circuit: circuitText(t, 120, 1), Solutions: 5, Seed: 7}
-	want := localResult(t, req)
-
+	circuit := circuitText(t, 120, 1)
+	// s13207 at seed 2 folds solutions of equal device cost whose
+	// hop-weighted interconnect and IOB utilization disagree on the
+	// winner, so only the topology tie-break picks the local incumbent.
+	var s13207 strings.Builder
+	if c, ok := bench.ByName("s13207"); !ok {
+		t.Fatal("bench suite lacks s13207")
+	} else if err := hypergraph.Write(&s13207, c.MustBuild()); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		req   server.JobRequest
+		check func(t *testing.T, got *server.JobResult)
+	}{
+		{name: "plain", req: server.JobRequest{Circuit: circuit, Solutions: 5, Seed: 7}},
+		{name: "board", req: server.JobRequest{Circuit: s13207.String(), Solutions: 3, Seed: 2, Board: "mesh:2x4:128"},
+			check: func(t *testing.T, got *server.JobResult) {
+				if got.TopoCost == nil {
+					t.Fatal("board job reported no topo_cost")
+				}
+			}},
+		{name: "max-stale", req: server.JobRequest{Circuit: circuit, Solutions: 12, Seed: 7, MaxStale: 2},
+			check: func(t *testing.T, got *server.JobResult) {
+				if got.Stopped != kway.StoppedStale {
+					t.Fatalf("stopped = %q, want %q", got.Stopped, kway.StoppedStale)
+				}
+			}},
+	}
 	w1 := newWorkerTS(t, newEngine(t, server.Config{}))
 	w2 := newWorkerTS(t, newEngine(t, server.Config{}))
-	pool := newPool(t, Config{Workers: []string{w1.URL, w2.URL}})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			req := tc.req
+			want := localResult(t, &req)
+			pool := newPool(t, Config{Workers: []string{w1.URL, w2.URL}})
 
-	got, err := pool.Distribute(context.Background(), req, core.Options{Solutions: 5, Seed: 7})
-	if err != nil {
-		t.Fatalf("distribute: %v", err)
-	}
-	if g, w := mustJSON(t, got), mustJSON(t, want); g != w {
-		t.Fatalf("distributed result diverged from local run:\n got %s\nwant %s", g, w)
-	}
-	if n := pool.met.attempts.With(OutcomeOK).Value(); n != 5 {
-		t.Fatalf("ok attempts = %d, want 5", n)
+			got, err := pool.Distribute(context.Background(), &req,
+				core.Options{Solutions: req.Solutions, Seed: req.Seed, MaxStale: req.MaxStale})
+			if err != nil {
+				t.Fatalf("distribute: %v", err)
+			}
+			if g, w := mustJSON(t, got), mustJSON(t, want); g != w {
+				t.Fatalf("distributed result diverged from local run:\n got %s\nwant %s", g, w)
+			}
+			// Every folded attempt ran remotely; a stale stop may leave
+			// attempts past the fold frontier that ran but never folded.
+			folded := int64(got.Feasible + got.Failed)
+			n := pool.met.attempts.With(OutcomeOK).Value() + pool.met.attempts.With(OutcomeInfeasible).Value()
+			if n < folded || (got.Stopped == "" && n != folded) {
+				t.Fatalf("remote attempts = %d, folded %d (stopped %q)", n, folded, got.Stopped)
+			}
+			if tc.check != nil {
+				tc.check(t, got)
+			}
+		})
 	}
 }
 
@@ -347,6 +391,70 @@ func TestResumeByteIdentical(t *testing.T) {
 	resumed.ResumedFromAttempt = nil
 	if g, w := mustJSON(t, resumed), mustJSON(t, full); g != w {
 		t.Fatalf("resumed result diverged:\n got %s\nwant %s", g, w)
+	}
+}
+
+// TestDistributeResumeValidation rejects checkpoints that do not belong
+// to the configured search, exactly as the local engine does
+// (kway.TestResumeValidation), before any attempt is fanned out.
+func TestDistributeResumeValidation(t *testing.T) {
+	req := &server.JobRequest{Circuit: circuitText(t, 120, 1), Solutions: 6, Seed: 9}
+	var posted atomic.Int64
+	eng := newEngine(t, server.Config{})
+	w := newWorkerTS(t, http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		posted.Add(1)
+		eng.ServeHTTP(rw, r)
+	}))
+	pool := newPool(t, Config{Workers: []string{w.URL}})
+	var cps []kway.SearchCheckpoint
+	if _, err := pool.Distribute(context.Background(), req, core.Options{
+		Solutions: 6, Seed: 9,
+		Checkpoint: func(cp kway.SearchCheckpoint) { cps = append(cps, cp) },
+	}); err != nil {
+		t.Fatalf("checkpointed run: %v", err)
+	}
+	cases := []struct {
+		name string
+		mut  func(*kway.SearchCheckpoint)
+	}{
+		{"seed-mismatch", func(cp *kway.SearchCheckpoint) { cp.Seed++ }},
+		{"solutions-mismatch", func(cp *kway.SearchCheckpoint) { cp.Solutions++ }},
+		{"folded-overflow", func(cp *kway.SearchCheckpoint) { cp.Folded = 99 }},
+		{"best-outside-prefix", func(cp *kway.SearchCheckpoint) { cp.BestAttempt = cp.Folded }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cp := cps[2]
+			tc.mut(&cp)
+			before := posted.Load()
+			_, err := pool.Distribute(context.Background(), req, core.Options{Solutions: 6, Seed: 9, Resume: &cp})
+			if err == nil {
+				t.Fatal("expected a resume validation error")
+			}
+			if !strings.HasPrefix(err.Error(), "kway: ") {
+				t.Errorf("error %q, want the engine's kway: checkpoint error", err)
+			}
+			if n := posted.Load() - before; n != 0 {
+				t.Errorf("%d attempts posted for a rejected checkpoint", n)
+			}
+		})
+	}
+}
+
+// TestDistributeRejectsNegativeOptions: the coordinator validates the
+// search shape with the local engine's rules.
+func TestDistributeRejectsNegativeOptions(t *testing.T) {
+	pool := newPool(t, Config{Workers: []string{"http://127.0.0.1:1"}})
+	req := &server.JobRequest{Circuit: circuitText(t, 120, 1), Solutions: 2, Seed: 1}
+	noop := func(kway.SearchCheckpoint) {}
+	for name, opts := range map[string]core.Options{
+		"solutions":        {Solutions: -1},
+		"max-stale":        {Solutions: 2, MaxStale: -1},
+		"checkpoint-every": {Solutions: 2, Checkpoint: noop, CheckpointEvery: -1},
+	} {
+		if _, err := pool.Distribute(context.Background(), req, opts); err == nil || !strings.Contains(err.Error(), "must be non-negative") {
+			t.Errorf("%s: error %v, want a non-negative validation error", name, err)
+		}
 	}
 }
 

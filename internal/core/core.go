@@ -135,6 +135,30 @@ func (o Options) fill() Options {
 	return o
 }
 
+// KwayOptions is the engine-level form of the options: every field
+// the k-way search reads, copied verbatim (no defaults applied).
+func (o Options) KwayOptions() kway.Options {
+	return kway.Options{
+		Library:         o.Library,
+		Threshold:       o.Threshold,
+		Solutions:       o.Solutions,
+		Multilevel:      o.Multilevel,
+		Workers:         o.Workers,
+		RefineWorkers:   o.RefineWorkers,
+		Verify:          o.Verify,
+		MaxStale:        o.MaxStale,
+		Trace:           o.Trace,
+		Inject:          o.Inject,
+		Now:             o.Now,
+		Board:           o.Board,
+		Checkpoint:      o.Checkpoint,
+		CheckpointEvery: o.CheckpointEvery,
+		Resume:          o.Resume,
+		Spans:           o.Spans,
+		Seed:            o.Seed,
+	}
+}
+
 // Result is the outcome of a k-way partition: the materialized part
 // subcircuits with their devices, and the Eq. 1 / Eq. 2 summary.
 type Result = kway.Result
@@ -156,25 +180,7 @@ func PartitionContext(ctx context.Context, g *hypergraph.Graph, opts Options) (R
 		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
 		defer cancel()
 	}
-	kopts := kway.Options{
-		Library:         opts.Library,
-		Threshold:       opts.Threshold,
-		Solutions:       opts.Solutions,
-		Multilevel:      opts.Multilevel,
-		Workers:         opts.Workers,
-		RefineWorkers:   opts.RefineWorkers,
-		Verify:          opts.Verify,
-		MaxStale:        opts.MaxStale,
-		Trace:           opts.Trace,
-		Inject:          opts.Inject,
-		Now:             opts.Now,
-		Board:           opts.Board,
-		Checkpoint:      opts.Checkpoint,
-		CheckpointEvery: opts.CheckpointEvery,
-		Resume:          opts.Resume,
-		Spans:           opts.Spans,
-		Seed:            opts.Seed,
-	}
+	kopts := opts.KwayOptions()
 	res, err := kway.PartitionContext(ctx, g, kopts)
 	if err != nil {
 		return res, err

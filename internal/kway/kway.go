@@ -150,45 +150,6 @@ type Options struct {
 	Seed  int64
 }
 
-// SearchCheckpoint is a serializable snapshot of the k-way search's
-// index-ordered reduction: the fold frontier, the incumbent best
-// attempt index, and the fold-side aggregates. It deliberately stores
-// no solution content — attempt i derives all randomness from
-// Seed + i*SeedStride, so the incumbent is reconstructed by replaying
-// its attempt, and a search resumed from a checkpoint folds to the
-// byte-identical result of the uninterrupted run.
-type SearchCheckpoint struct {
-	// Seed and Solutions identify the search the checkpoint belongs
-	// to; Resume rejects a mismatch.
-	Seed      int64 `json:"seed"`
-	Solutions int   `json:"solutions"`
-	// Folded is the number of attempts the reduction covers;
-	// dispatch resumes at this index.
-	Folded int `json:"folded"`
-	// BestAttempt is the attempt index of the incumbent best solution
-	// (-1 while no attempt has been accepted).
-	BestAttempt int `json:"best_attempt"`
-	// Stale is the MaxStale counter (consecutive non-improving
-	// accepted solutions).
-	Stale int `json:"stale"`
-	// Accepted/Failed/Panicked/Improved mirror search.Stats.
-	Accepted int `json:"accepted"`
-	Failed   int `json:"failed"`
-	Panicked int `json:"panicked"`
-	Improved int `json:"improved"`
-	// CostMin/CostMax/CostSum carry the device-cost spread across the
-	// accepted solutions (float64 JSON round-trips exactly, so the
-	// resumed CostMean is byte-identical).
-	CostMin float64 `json:"cost_min"`
-	CostMax float64 `json:"cost_max"`
-	CostSum float64 `json:"cost_sum"`
-	// PanickedSeeds and FirstError preserve the diagnostic state of
-	// the folded prefix (FirstError as a message string; a resumed
-	// InfeasibleError wraps a reconstructed error with the same text).
-	PanickedSeeds []int64 `json:"panicked_seeds,omitempty"`
-	FirstError    string  `json:"first_error,omitempty"`
-}
-
 // VerificationError reports an in-loop invariant violation detected by
 // Options.Verify. It always wraps the underlying verifier error.
 type VerificationError struct {
@@ -234,11 +195,8 @@ func (e *InfeasibleError) Unwrap() error { return e.First }
 // search would fold at index i.
 const SeedStride = 104729
 
-// DefaultSolutions is the attempt budget when Options.Solutions is 0.
-// Exported so a coordinator distributing attempts remotely runs the
-// same defaulted search shape (and checkpoint identity) the local
-// engine would.
-const DefaultSolutions = 50
+// defaultSolutions is the attempt budget when Options.Solutions is 0.
+const defaultSolutions = 50
 
 // carveRetries is the number of carve tries (seed/device/fill
 // variations) before a solution attempt is abandoned.
@@ -261,7 +219,7 @@ func (o Options) withDefaults() (Options, error) {
 		return o, fmt.Errorf("kway: CheckpointEvery must be non-negative, got %d", o.CheckpointEvery)
 	}
 	if o.Solutions == 0 {
-		o.Solutions = DefaultSolutions
+		o.Solutions = defaultSolutions
 	}
 	if o.MultilevelMinCells == 0 {
 		o.MultilevelMinCells = 512
@@ -283,31 +241,10 @@ type Result struct {
 	Parts       []Part
 	Summary     metrics.Solution
 	SourceCells int
-	// Feasible counts complete feasible solutions generated; Failed
-	// counts abandoned attempts.
-	Feasible, Failed int
-	// CostMin/CostMax/CostMean summarize the device cost across the
-	// feasible solutions the randomized search generated — the spread
-	// the best-of-N selection exploits.
-	CostMin, CostMax, CostMean float64
-	// Stopped records why the search ended before folding all Solutions
-	// attempts: "" (ran to completion), StoppedStale (MaxStale
-	// consecutive non-improving solutions) or StoppedBudget (context
-	// cancellation/deadline with a feasible incumbent in hand).
-	Stopped string
-	// Degraded reports that at least one solution attempt died to a
-	// contained panic: the result is still the deterministic best of
-	// the surviving attempts, but the panicked indices contributed
-	// nothing. Panicked counts them and PanickedSeeds records the seeds
-	// that died, for offline reproduction of the crash.
-	Degraded      bool
-	Panicked      int
-	PanickedSeeds []int64
-	// Resumed reports that the search restarted from a checkpoint
-	// (Options.Resume); ResumedFrom is the attempt index it continued
-	// from (meaningful only when Resumed).
-	Resumed     bool
-	ResumedFrom int
+	// Fold carries the search's aggregates over every attempt it
+	// folded (feasible/failed counts, cost spread, stop and resume
+	// markers).
+	Fold
 }
 
 // Result.Stopped values.
@@ -351,17 +288,6 @@ func PartitionContext(ctx context.Context, g *hypergraph.Graph, opts Options) (R
 	if g.NumCells() == 0 {
 		return Result{}, errors.New("kway: empty circuit")
 	}
-	// Solution attempts are independent; the orchestrator runs them on
-	// a bounded worker pool and folds them in index order, which keeps
-	// the search deterministic regardless of scheduling. The fold-side
-	// statistics below are maintained inside Observe — single-threaded,
-	// index-ordered — so the float accumulation order is fixed too.
-	var (
-		feasible, failed          int
-		costMin, costMax, costSum float64
-		firstErr                  error
-		panickedSeeds             []int64
-	)
 	// now is read only when a trace sink is armed; phase durations
 	// feed the sink and nothing else, preserving the byte-identical
 	// fixed-seed contract (see TestTelemetryDoesNotPerturbSearch).
@@ -449,9 +375,18 @@ func PartitionContext(ctx context.Context, g *hypergraph.Graph, opts Options) (R
 			return res, nil
 		}
 	}
-	drv := search.Driver[Result]{
-		NewAttempt: func() search.AttemptFunc[Result] { return newAttempt(opts) },
-		Better:     func(a, b Result) bool { return a.Summary.Better(b.Summary) },
+	replayOpts := opts
+	replayOpts.Trace = nil
+	replayOpts.Inject = nil
+	// The search phase covers the whole reduction, a checkpoint replay
+	// included (the replay itself is untraced, so it reads no clock).
+	var searchStart time.Time
+	if opts.Trace != nil {
+		searchStart = now()
+	}
+	best, fold, err := Search(ctx, opts, Attempts[Result]{
+		New:    func() search.AttemptFunc[Result] { return newAttempt(opts) },
+		Replay: newAttempt(replayOpts),
 		// Verification failures are partitioner bugs, never ordinary
 		// infeasibility: abort the search instead of counting a failed
 		// attempt.
@@ -459,187 +394,15 @@ func PartitionContext(ctx context.Context, g *hypergraph.Graph, opts Options) (R
 			var verr *VerificationError
 			return errors.As(err, &verr)
 		},
-		Observe: func(attempt int, sol Result, err error, improved bool) {
-			if err != nil {
-				failed++
-				if firstErr == nil {
-					firstErr = err
-				}
-				var perr *search.PanicError
-				panicked := errors.As(err, &perr)
-				if panicked {
-					panickedSeeds = append(panickedSeeds, perr.Seed)
-				}
-				if opts.Trace != nil {
-					opts.Trace.Event(trace.Event{Kind: trace.KindSolution, Attempt: attempt, Reason: err.Error(), Panic: panicked})
-				}
-				return
-			}
-			feasible++
-			cost := sol.Summary.DeviceCost()
-			if feasible == 1 || cost < costMin {
-				costMin = cost
-			}
-			if cost > costMax {
-				costMax = cost
-			}
-			costSum += cost
-			if opts.Trace != nil {
-				opts.Trace.Event(trace.Event{
-					Kind: trace.KindSolution, Attempt: attempt,
-					Feasible: true, Cost: cost, Parts: len(sol.Parts), Improved: improved,
-					Topo: sol.Summary.TopoCost, HasTopo: sol.Summary.HasTopo,
-				})
-			}
-		},
-	}
-	if cp := opts.Resume; cp != nil {
-		if cp.Seed != opts.Seed || cp.Solutions != opts.Solutions {
-			return Result{}, fmt.Errorf("kway: checkpoint is for seed %d / %d solutions, options say seed %d / %d solutions", cp.Seed, cp.Solutions, opts.Seed, opts.Solutions)
-		}
-		if cp.Folded < 0 || cp.Folded > opts.Solutions || cp.BestAttempt >= cp.Folded {
-			return Result{}, fmt.Errorf("kway: corrupt checkpoint: folded %d, best attempt %d, %d solutions", cp.Folded, cp.BestAttempt, opts.Solutions)
-		}
-		feasible, failed = cp.Accepted, cp.Failed
-		costMin, costMax, costSum = cp.CostMin, cp.CostMax, cp.CostSum
-		if cp.FirstError != "" {
-			firstErr = errors.New(cp.FirstError)
-		}
-		panickedSeeds = append(panickedSeeds, cp.PanickedSeeds...)
-		rs := &search.ResumeState[Result]{
-			Folded:      cp.Folded,
-			BestAttempt: cp.BestAttempt,
-			Stale:       cp.Stale,
-			Stats: search.Stats{
-				Folded:   cp.Folded,
-				Accepted: cp.Accepted,
-				Failed:   cp.Failed,
-				Panicked: cp.Panicked,
-				Improved: cp.Improved,
-			},
-		}
-		if cp.BestAttempt >= 0 {
-			// Reconstruct the incumbent by replaying its attempt:
-			// attempt i derives all randomness from Seed + i*SeedStride,
-			// so the replay is byte-identical to the solution the
-			// interrupted run held.
-			replayOpts := opts
-			replayOpts.Trace = nil
-			replayOpts.Inject = nil
-			// The replay's spans land under a "resume" span in the same
-			// trace as the original run (the caller derives the TraceID
-			// from the checkpoint identity), so a crash-recovered job
-			// reads as one timeline.
-			rctx := ctx
-			resumeSpan := opts.Spans.Start("resume", cp.BestAttempt)
-			if opts.Spans.Enabled() {
-				resumeSpan.Detail(fmt.Sprintf("folded=%d best_attempt=%d", cp.Folded, cp.BestAttempt))
-				rctx = span.NewContext(ctx, resumeSpan.Scope())
-			}
-			sol, rerr := newAttempt(replayOpts)(rctx, cp.BestAttempt, opts.Seed+int64(cp.BestAttempt)*SeedStride)
-			resumeSpan.End()
-			if rerr != nil {
-				return Result{}, fmt.Errorf("kway: checkpoint replay of attempt %d failed: %w", cp.BestAttempt, rerr)
-			}
-			rs.Best, rs.Found = sol, true
-		}
-		drv.Resume = rs
-		if opts.Trace != nil {
-			opts.Trace.Event(trace.Event{Kind: trace.KindResume, Attempt: cp.Folded, Folded: cp.Folded, BestAttempt: cp.BestAttempt})
-		}
-	}
-	// The checkpoint wrapper runs inside the single-threaded reducer,
-	// immediately after Observe for the same attempt, so the fold-side
-	// aggregates it captures (costMin/costMax/costSum, firstErr,
-	// panickedSeeds) are exactly current at each snapshot.
-	var sCheckpoint func(search.Progress)
-	if opts.Checkpoint != nil {
-		every := opts.CheckpointEvery
-		if every == 0 {
-			every = 1
-		}
-		sCheckpoint = func(p search.Progress) {
-			if p.Folded%every != 0 && p.Folded != opts.Solutions {
-				return
-			}
-			cp := SearchCheckpoint{
-				Seed: opts.Seed, Solutions: opts.Solutions,
-				Folded: p.Folded, BestAttempt: p.BestAttempt, Stale: p.Stale,
-				Accepted: p.Stats.Accepted, Failed: p.Stats.Failed,
-				Panicked: p.Stats.Panicked, Improved: p.Stats.Improved,
-				CostMin: costMin, CostMax: costMax, CostSum: costSum,
-			}
-			if firstErr != nil {
-				cp.FirstError = firstErr.Error()
-			}
-			if len(panickedSeeds) > 0 {
-				cp.PanickedSeeds = append([]int64(nil), panickedSeeds...)
-			}
-			if opts.Trace != nil {
-				opts.Trace.Event(trace.Event{Kind: trace.KindCheckpoint, Attempt: p.Folded - 1, Folded: p.Folded, BestAttempt: p.BestAttempt})
-			}
-			opts.Checkpoint(cp)
-		}
-	}
-	var searchStart time.Time
-	if opts.Trace != nil {
-		searchStart = now()
-	}
-	searchSpan := opts.Spans.Start("search", -1)
-	out, serr := search.Run(ctx, search.Options{
-		Attempts:   opts.Solutions,
-		Workers:    opts.Workers,
-		Seed:       opts.Seed,
-		SeedStride: SeedStride,
-		MaxStale:   opts.MaxStale,
-		Inject:     opts.Inject,
-		Checkpoint: sCheckpoint,
-		Spans:      searchSpan.Scope(),
-	}, drv)
-	searchSpan.End()
-	if opts.Trace != nil {
+		Score: func(r Result) metrics.Score { return r.Summary.Score() },
+	})
+	if opts.Trace != nil && fold.ran {
 		emitPhase(opts.Trace, -1, trace.PhaseSearch, searchStart)
 	}
-	var budget *search.ErrBudget
-	if serr != nil {
-		var ae *search.AttemptError
-		switch {
-		case errors.As(serr, &ae):
-			// Fatal attempt (verification failure): surface the
-			// underlying error itself, preserving the pre-orchestrator
-			// contract that Partition returns the *VerificationError.
-			return Result{}, ae.Err
-		case errors.As(serr, &budget):
-			// The folded prefix may still hold a feasible incumbent.
-		default:
-			return Result{}, serr
-		}
+	if err != nil {
+		return Result{}, err
 	}
-	if !out.Found {
-		inf := &InfeasibleError{Attempts: out.Stats.Folded, First: firstErr}
-		if budget != nil {
-			return Result{}, fmt.Errorf("%v: %w", inf, budget)
-		}
-		return Result{}, inf
-	}
-	best := out.Best
-	best.Feasible = feasible
-	best.Failed = failed
-	best.SourceCells = g.NumCells()
-	best.CostMin, best.CostMax, best.CostMean = costMin, costMax, costSum/float64(feasible)
-	best.Panicked = out.Stats.Panicked
-	best.PanickedSeeds = panickedSeeds
-	best.Degraded = out.Stats.Panicked > 0
-	if opts.Resume != nil {
-		best.Resumed = true
-		best.ResumedFrom = opts.Resume.Folded
-	}
-	switch {
-	case budget != nil:
-		best.Stopped = StoppedBudget
-	case out.Stats.StaleStop:
-		best.Stopped = StoppedStale
-	}
+	best.Fold = fold
 	return best, nil
 }
 

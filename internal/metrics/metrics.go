@@ -129,26 +129,48 @@ func (s Solution) DeviceCounts() map[string]int {
 	return m
 }
 
-// Better reports whether s is preferable to t under the paper's
-// lexicographic objective: lower device cost first (Eq. 1), then —
-// when both solutions carry a board-topology score — lower
-// hop-weighted interconnect, then lower average IOB utilization
-// (Eq. 2). Flat solutions never set HasTopo, so the classic two-level
-// order is unchanged for them.
-func (s Solution) Better(t Solution) bool {
-	cs, ct := s.DeviceCost(), t.DeviceCost()
+// Score is a solution's position under the paper's lexicographic
+// objective: device cost (Eq. 1), then — when both sides carry a
+// board-topology score — hop-weighted interconnect, then average IOB
+// utilization (Eq. 2). Every search reduction ranks candidates through
+// Score.Better, whatever form its solutions take (a materialized
+// partition or an API result summary).
+type Score struct {
+	Cost    float64 // Eq. 1
+	Topo    int     // hop-weighted interconnect; meaningful only with HasTopo
+	HasTopo bool
+	IOBUtil float64 // Eq. 2
+	// K is the part count, carried for reporting; it does not rank.
+	K int
+}
+
+// Better reports whether s is strictly preferable to t: lower device
+// cost first (compared with a 1e-9 tolerance), then lower hop-weighted
+// interconnect when both scores carry one, then lower IOB utilization.
+// Flat solutions never set HasTopo, so the classic two-level order is
+// unchanged for them.
+func (s Score) Better(t Score) bool {
 	const eps = 1e-9
-	if cs < ct-eps {
+	if s.Cost < t.Cost-eps {
 		return true
 	}
-	if cs > ct+eps {
+	if s.Cost > t.Cost+eps {
 		return false
 	}
-	if s.HasTopo && t.HasTopo && s.TopoCost != t.TopoCost {
-		return s.TopoCost < t.TopoCost
+	if s.HasTopo && t.HasTopo && s.Topo != t.Topo {
+		return s.Topo < t.Topo
 	}
-	return s.AvgIOBUtil() < t.AvgIOBUtil()
+	return s.IOBUtil < t.IOBUtil
 }
+
+// Score evaluates the solution's objective terms.
+func (s Solution) Score() Score {
+	return Score{Cost: s.DeviceCost(), Topo: s.TopoCost, HasTopo: s.HasTopo, IOBUtil: s.AvgIOBUtil(), K: s.K()}
+}
+
+// Better reports whether s is preferable to t under the paper's
+// lexicographic objective (see Score.Better).
+func (s Solution) Better(t Solution) bool { return s.Score().Better(t.Score()) }
 
 // String renders a compact one-line summary.
 func (s Solution) String() string {

@@ -1,7 +1,8 @@
 // Package search is the deterministic multi-start orchestrator shared
-// by the partitioning drivers (kway's solution search, expt's
-// per-circuit experiment fan-out, anneal's restart loop). It runs
-// independent randomized attempts on a bounded worker pool — each
+// by the partitioning drivers (kway.Search — the k-way solution search
+// of both the local engine and the coordinator — expt's per-circuit
+// experiment fan-out and multilevel's coarsest-level multi-start). It
+// runs independent randomized attempts on a bounded worker pool — each
 // attempt owns a seed derived only from its index — and reduces the
 // outcomes in strict index order, so the result is byte-identical for
 // a fixed seed regardless of worker count or completion order.

@@ -14,6 +14,7 @@ import (
 
 	"fpgapart/internal/core"
 	"fpgapart/internal/hypergraph"
+	"fpgapart/internal/kway"
 	"fpgapart/internal/netlist"
 	"fpgapart/internal/span"
 	"fpgapart/internal/techmap"
@@ -110,6 +111,18 @@ type PartSummary struct {
 	Replicas  int    `json:"replicas"`
 }
 
+// SetFold overlays the search's fold aggregates — counts, stop and
+// degradation markers, resume point — on a result.
+func (r *JobResult) SetFold(f kway.Fold) {
+	r.Feasible, r.Failed = f.Feasible, f.Failed
+	r.Stopped = f.Stopped
+	r.Degraded, r.Panicked, r.PanickedSeeds = f.Degraded, f.Panicked, f.PanickedSeeds
+	if f.Resumed {
+		from := f.ResumedFrom
+		r.ResumedFromAttempt = &from
+	}
+}
+
 func resultJSON(g *hypergraph.Graph, res core.Result, board *topology.Board) *JobResult {
 	out := &JobResult{
 		Circuit:         g.Name,
@@ -119,21 +132,12 @@ func resultJSON(g *hypergraph.Graph, res core.Result, board *topology.Board) *Jo
 		AvgIOBUtil:      res.Summary.AvgIOBUtil(),
 		ReplicatedCells: res.Summary.ReplicatedCells(),
 		SourceCells:     res.SourceCells,
-		Feasible:        res.Feasible,
-		Failed:          res.Failed,
-		Stopped:         res.Stopped,
-		Degraded:        res.Degraded,
-		Panicked:        res.Panicked,
-		PanickedSeeds:   res.PanickedSeeds,
 	}
+	out.SetFold(res.Fold)
 	if res.Summary.HasTopo && board != nil {
 		out.Board = board.Name
 		topo := res.Summary.TopoCost
 		out.TopoCost = &topo
-	}
-	if res.Resumed {
-		from := res.ResumedFrom
-		out.ResumedFromAttempt = &from
 	}
 	for _, p := range res.Parts {
 		out.Parts = append(out.Parts, PartSummary{
@@ -424,12 +428,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tid, parent, _ := span.ParseTraceparent(r.Header.Get("traceparent"))
-	j, status := s.submit(requestID(r.Context()), tid, parent, req, g, opts, timeout)
+	j, st, status := s.submit(requestID(r.Context()), tid, parent, req, g, opts, timeout)
 	if j == nil {
 		s.admissionError(w, status)
 		return
 	}
-	writeJSON(w, status, j.status())
+	writeJSON(w, status, st)
 }
 
 // handleJobGet is the retry-safe result lookup.
@@ -459,7 +463,7 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tid, parent, traced := span.ParseTraceparent(r.Header.Get("traceparent"))
-	j, status := s.submit(requestID(r.Context()), tid, parent, req, g, opts, timeout)
+	j, _, status := s.submit(requestID(r.Context()), tid, parent, req, g, opts, timeout)
 	if j == nil {
 		s.admissionError(w, status)
 		return

@@ -65,7 +65,7 @@ func TestDrainRecoverRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if j, status := s1.submit("t", span.TraceID{}, 0, &req, g, opts, timeout); j == nil {
+		if j, _, status := s1.submit("t", span.TraceID{}, 0, &req, g, opts, timeout); j == nil {
 			t.Fatalf("submit %s: %d", req.ID, status)
 		}
 	}

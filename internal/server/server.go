@@ -385,8 +385,9 @@ func (s *Server) Ready() bool {
 	return !s.draining
 }
 
-// submit registers and enqueues a job. It returns the job and an HTTP
-// status: 202 accepted, 200 for an idempotent replay of a known ID,
+// submit registers and enqueues a job. It returns the job, its status
+// at admission (current status for a replay) and an HTTP status: 202
+// accepted, 200 for an idempotent replay of a known ID,
 // 429 when the queue is full, 503 when draining. reqID is the
 // submitting request's ID; it is stored on the job so lifecycle logs
 // can be joined back to the request. trace/parent carry the
@@ -394,14 +395,14 @@ func (s *Server) Ready() bool {
 // replay keeps the existing job's trace). With a durable store
 // configured, the submission is persisted (and fsync'd) once the job
 // is admitted.
-func (s *Server) submit(reqID string, trace span.TraceID, parent span.ID, req *JobRequest, g *hypergraph.Graph, opts core.Options, timeout time.Duration) (*job, int) {
+func (s *Server) submit(reqID string, trace span.TraceID, parent span.ID, req *JobRequest, g *hypergraph.Graph, opts core.Options, timeout time.Duration) (*job, JobStatus, int) {
 	id := req.ID
 	s.jobsMu.Lock()
 	if id != "" {
 		if old, ok := s.jobs[id]; ok {
 			s.jobsMu.Unlock()
 			s.log.Info("job replay", "job", id, "request_id", reqID)
-			return old, http.StatusOK
+			return old, old.status(), http.StatusOK
 		}
 	} else {
 		// Skip IDs taken by recovered jobs from a previous process life.
@@ -423,8 +424,11 @@ func (s *Server) submit(reqID string, trace span.TraceID, parent span.ID, req *J
 		s.dropJob(id)
 		s.met.shedDraining.Inc()
 		s.log.Warn("job rejected", "job", id, "request_id", reqID, "reason", "draining")
-		return nil, http.StatusServiceUnavailable
+		return nil, JobStatus{}, http.StatusServiceUnavailable
 	}
+	// Snapshot before the queue hands the job to a worker, which may
+	// run it to completion before the caller renders its response.
+	admitted := j.status()
 	select {
 	case s.queue <- j:
 		s.admit.RUnlock()
@@ -438,13 +442,13 @@ func (s *Server) submit(reqID string, trace span.TraceID, parent span.ID, req *J
 			}
 		}
 		s.log.Info("job queued", "job", id, "request_id", reqID, "cells", g.NumCells(), "timeout", timeout)
-		return j, http.StatusAccepted
+		return j, admitted, http.StatusAccepted
 	default:
 		s.admit.RUnlock()
 		s.dropJob(id)
 		s.met.shedQueueFull.Inc()
 		s.log.Warn("job rejected", "job", id, "request_id", reqID, "reason", "queue-full")
-		return nil, http.StatusTooManyRequests
+		return nil, JobStatus{}, http.StatusTooManyRequests
 	}
 }
 

@@ -65,6 +65,16 @@ type ChromeEvent struct {
 type ChromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 	TraceEvents     []ChromeEvent `json:"traceEvents"`
+	// OtherData is the format's free-form metadata object.
+	OtherData ChromeMeta `json:"otherData"`
+}
+
+// ChromeMeta is the otherData metadata of an exported timeline.
+type ChromeMeta struct {
+	// DroppedSpans counts the spans the collector discarded once the
+	// trace reached its MaxSpansPerTrace bound; non-zero means the
+	// timeline is incomplete.
+	DroppedSpans int `json:"dropped_spans"`
 }
 
 // chromeTID maps a span's attempt label to its timeline row: attempt
@@ -145,8 +155,11 @@ func BuildChromeTrace(spans []Span) ChromeTrace {
 	return ct
 }
 
-// WriteChromeTrace writes spans as Chrome trace_event JSON.
-func WriteChromeTrace(w io.Writer, spans []Span) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(BuildChromeTrace(spans))
+// WriteChromeTrace writes spans as Chrome trace_event JSON, recording
+// dropped — the collector's overflow count for the trace (see
+// Collector.Trace) — as otherData.dropped_spans.
+func WriteChromeTrace(w io.Writer, spans []Span, dropped int) error {
+	ct := BuildChromeTrace(spans)
+	ct.OtherData.DroppedSpans = dropped
+	return json.NewEncoder(w).Encode(ct)
 }

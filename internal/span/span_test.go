@@ -270,7 +270,7 @@ func TestChromeTraceShape(t *testing.T) {
 	spans, _ := tr.Collector().Trace(trace)
 
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, spans); err != nil {
+	if err := WriteChromeTrace(&buf, spans, 0); err != nil {
 		t.Fatal(err)
 	}
 	var ct ChromeTrace
@@ -347,5 +347,34 @@ func TestConcurrentRecording(t *testing.T) {
 			t.Fatalf("duplicate span ID %v", sp.ID)
 		}
 		seen[sp.ID] = true
+	}
+}
+
+// TestChromeTraceDroppedSpans checks that an export records the
+// collector's overflow count, so a truncated timeline announces itself.
+func TestChromeTraceDroppedSpans(t *testing.T) {
+	tr := NewTracer(Options{Process: "test", Now: fakeClock(), Origin: 0xabc, MaxSpansPerTrace: 2})
+	trace := DeriveTraceID("cli", 11, 6)
+	job := tr.Root(trace, 0).Start("job", -1)
+	for i := 0; i < 3; i++ {
+		job.Scope().Start("attempt", i).End()
+	}
+	job.End()
+	spans, dropped := tr.Collector().Trace(trace)
+	if len(spans) != 2 || dropped != 2 {
+		t.Fatalf("collector kept %d spans, dropped %d; want 2 and 2", len(spans), dropped)
+	}
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, spans, dropped); err != nil {
+		t.Fatal(err)
+	}
+	var raw struct {
+		OtherData map[string]int `json:"otherData"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := raw.OtherData["dropped_spans"]; !ok || got != 2 {
+		t.Fatalf("otherData = %v, want dropped_spans 2", raw.OtherData)
 	}
 }
