@@ -118,7 +118,7 @@ type Options struct {
 	// kway.Options.Resume).
 	Resume *kway.SearchCheckpoint
 	// Spans, when armed, records the run as a causal span tree under
-	// the caller's scope (see internal/span and kway.Options.Spans).
+	// the caller's scope (see internal/span and kway.Options.Hook).
 	// Spans only read the clock; the disarmed zero value is inert and
 	// fixed-seed results are byte-identical either way.
 	Spans span.Scope
@@ -136,7 +136,8 @@ func (o Options) fill() Options {
 }
 
 // KwayOptions is the engine-level form of the options: every field
-// the k-way search reads, copied verbatim (no defaults applied).
+// the k-way search reads, copied verbatim (no defaults applied), with
+// Trace, Spans and Now gathered into the engine's one trace.Hook.
 func (o Options) KwayOptions() kway.Options {
 	return kway.Options{
 		Library:         o.Library,
@@ -147,14 +148,12 @@ func (o Options) KwayOptions() kway.Options {
 		RefineWorkers:   o.RefineWorkers,
 		Verify:          o.Verify,
 		MaxStale:        o.MaxStale,
-		Trace:           o.Trace,
+		Hook:            trace.Hook{Sink: o.Trace, Spans: o.Spans, Now: o.Now},
 		Inject:          o.Inject,
-		Now:             o.Now,
 		Board:           o.Board,
 		Checkpoint:      o.Checkpoint,
 		CheckpointEvery: o.CheckpointEvery,
 		Resume:          o.Resume,
-		Spans:           o.Spans,
 		Seed:            o.Seed,
 	}
 }

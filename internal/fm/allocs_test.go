@@ -41,7 +41,7 @@ func TestFMPassAllocs(t *testing.T) {
 			}
 			var r Runner
 			cfg := equalCfg(g, tc.threshold, 5)
-			cfg.Trace = tc.sink
+			cfg.Hook.Sink = tc.sink
 			if _, err := r.Run(st, cfg); err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +55,7 @@ func TestFMPassAllocs(t *testing.T) {
 			// the phase loop does: a zero Scope must cost a predicted
 			// branch, never an allocation.
 			if avg := testing.AllocsPerRun(5, func() {
-				run := e.cfg.Spans.Start("fm-pass", e.cfg.TraceAttempt)
+				run := e.cfg.Hook.Start("fm-pass")
 				e.pass()
 				run.End()
 			}); avg != 0 {

@@ -22,7 +22,6 @@ import (
 	"fpgapart/internal/hypergraph"
 	"fpgapart/internal/parfm"
 	"fpgapart/internal/replication"
-	"fpgapart/internal/span"
 	"fpgapart/internal/trace"
 )
 
@@ -55,22 +54,16 @@ type Config struct {
 	FlowRefine bool
 	// Seed orders candidate insertion for tie-breaking.
 	Seed int64
-	// Trace, when non-nil, receives one KindFMPass event per completed
-	// pass. The nil path costs a single predicted branch, keeping the
-	// steady-state pass allocation-free (see TestFMPassAllocs).
-	Trace trace.Sink
-	// TraceAttempt labels emitted events with the enclosing solution
-	// attempt index; use -1 for standalone runs.
-	TraceAttempt int
-	// Spans, when armed, times every pass as an "fm-pass" span in the
-	// enclosing attempt's trace. The disarmed zero value costs a
-	// single predicted branch per pass, keeping the steady-state pass
-	// allocation-free (see TestFMPassAllocs). Span clock readings feed
-	// only the trace, never search decisions.
-	Spans span.Scope
+	// Hook instruments the run: one KindFMPass event per completed
+	// pass and one "fm-pass" span around it, labeled with the enclosing
+	// solution attempt (Hook.Attempt, -1 for standalone runs). The
+	// disarmed zero value costs a single predicted branch per pass,
+	// keeping the steady-state pass allocation-free (see
+	// TestFMPassAllocs).
+	Hook trace.Hook
 	// Inject, when non-nil, consults the fault plan at every pass
 	// boundary (faultinject.SitePass, ordinal = pass sequence within
-	// the run, labeled with TraceAttempt). Testing only; nil in
+	// the run, labeled with Hook.Attempt). Testing only; nil in
 	// production keeps the pass loop allocation-free.
 	Inject *faultinject.Plan
 }
@@ -194,9 +187,7 @@ func (r *Runner) Run(st *replication.State, cfg Config) (Result, error) {
 		pres, err := r.par.Run(st, parfm.Config{
 			MinArea: cfg.MinArea, MaxArea: cfg.MaxArea,
 			Threshold: cfg.Threshold, Workers: cfg.RefineWorkers, Seed: cfg.Seed,
-			Trace: cfg.Trace, TraceAttempt: cfg.TraceAttempt,
-			Spans:  cfg.Spans,
-			Inject: cfg.Inject,
+			Hook: cfg.Hook, Inject: cfg.Inject,
 		})
 		res := Result{Cut: pres.Cut, Passes: pres.Passes, Moves: pres.Moves}
 		if err != nil {
@@ -249,12 +240,12 @@ func (r *Runner) Run(st *replication.State, cfg Config) (Result, error) {
 		any := false
 		for pass := 0; pass < parfm.MaxPasses; pass++ {
 			if cfg.Inject != nil {
-				if err := cfg.Inject.At(faultinject.SitePass, cfg.TraceAttempt, res.Passes, cfg.Seed); err != nil {
+				if err := cfg.Inject.At(faultinject.SitePass, cfg.Hook.Attempt, res.Passes, cfg.Seed); err != nil {
 					injectErr = err
 					return any
 				}
 			}
-			run := cfg.Spans.Start("fm-pass", cfg.TraceAttempt)
+			run := cfg.Hook.Start("fm-pass")
 			improved, moves := e.pass()
 			run.End()
 			res.Passes++
@@ -480,15 +471,13 @@ func (e *engine) pass() (bool, int) {
 		panic(fmt.Sprintf("fm: rollback: %v", err))
 	}
 	e.passSeq++
-	if e.cfg.Trace != nil {
-		e.cfg.Trace.Event(trace.Event{
-			Kind:    trace.KindFMPass,
-			Attempt: e.cfg.TraceAttempt,
-			Pass:    e.passSeq,
-			Moves:   moves,
-			Cut:     bestCut,
-		})
-	}
+	e.cfg.Hook.Event(trace.Event{
+		Kind:    trace.KindFMPass,
+		Attempt: e.cfg.Hook.Attempt,
+		Pass:    e.passSeq,
+		Moves:   moves,
+		Cut:     bestCut,
+	})
 	return bestCut < startCut, moves
 }
 

@@ -96,8 +96,8 @@ func TestWeightedRunMatchesRecount(t *testing.T) {
 			before := st.Objective()
 			sink := &invariantSink{t: t, st: st}
 			cfg := equalCfg(g, tc.threshold, 17)
-			cfg.Trace = sink
-			cfg.TraceAttempt = -1
+			cfg.Hook.Sink = sink
+			cfg.Hook.Attempt = -1
 			cfg.RefineWorkers = tc.refineWorkers
 			if _, err := Run(st, cfg); err != nil {
 				t.Fatal(err)

@@ -110,8 +110,8 @@ func goldenRun(t *testing.T, opts kway.Options) (kway.Result, *trace.Recorder) {
 	opts.Solutions = 6
 	opts.Seed = 11
 	opts.Workers = 1 // single worker: the trace stream is sequential
-	opts.Trace = rec
-	opts.Now = goldenClock()
+	opts.Hook.Sink = rec
+	opts.Hook.Now = goldenClock()
 	res, err := kway.Partition(g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestRefineWorkersGateIsInert(t *testing.T) {
 func TestSpansArmedIsInert(t *testing.T) {
 	tracer := span.NewTracer(span.Options{Process: "kway-test", Now: goldenClock()})
 	root := tracer.Root(span.DeriveTraceID("golden", 11, 6), 0).Start("job", -1)
-	res, rec := goldenRun(t, kway.Options{Spans: root.Scope()})
+	res, rec := goldenRun(t, kway.Options{Hook: trace.Hook{Spans: root.Scope()}})
 	root.End()
 	goldenCompare(t, "flat_golden_result.txt", goldenRender(t, res))
 	goldenCompare(t, "flat_golden_trace.jsonl", goldenTrace(t, rec))

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"fpgapart/internal/faultinject"
 	"fpgapart/internal/fm"
@@ -86,13 +85,23 @@ type Options struct {
 	// all Solutions attempts). The stop is evaluated in deterministic
 	// attempt-index order, so results stay schedule-independent.
 	MaxStale int
-	// Trace, when non-nil, receives structured engine events: one
-	// KindFMPass per FM pass and one KindCarveAccepted/Rejected per
+	// Hook instruments the search (internal/trace). Its Sink receives
+	// one KindFMPass per FM pass and one KindCarveAccepted/Rejected per
 	// carve attempt (emitted concurrently by the search workers,
-	// labeled with their attempt index), plus one KindSolution per
-	// folded solution attempt (emitted in deterministic index order).
-	// The sink must be safe for concurrent use.
-	Trace trace.Sink
+	// labeled with their attempt index), one KindSolution per folded
+	// solution attempt (in deterministic index order) and KindPhase
+	// timings of the search, fold and verify phases read from Hook.Now.
+	// Its span scope records the search as a causal span tree: one
+	// "search" span over the reduction, an "attempt" span per solution
+	// attempt (minted by internal/search), "fold"/"verify" spans inside
+	// each attempt, engine spans (fm-pass / parfm-pass / coarsen /
+	// level / uncoarsen) beneath, and a "resume" span over a checkpoint
+	// replay. Hook.Attempt is set per attempt by the search. Nothing
+	// the hook records feeds search decisions — fixed-seed results are
+	// byte-identical armed or disarmed (the golden-diff suite runs
+	// both), no clock is read for phases while the sink is nil, and the
+	// disarmed zero value costs one predicted branch per site.
+	Hook trace.Hook
 	// Inject, when non-nil, arms deterministic fault injection at the
 	// engine's checkpoints: attempt starts (via internal/search), carve
 	// tries and FM pass boundaries. Injected panics are contained per
@@ -100,13 +109,6 @@ type Options struct {
 	// Testing only; nil in production costs one predicted branch per
 	// checkpoint.
 	Inject *faultinject.Plan
-	// Now supplies the wall clock for phase-timing trace events
-	// (trace.KindPhase: search, fold, verify). Nil selects time.Now.
-	// The clock is explicit so tests can fake it; clock readings feed
-	// only the trace stream, never search decisions, so fixed-seed
-	// results are byte-identical with or without phase tracing — and
-	// no clock is read at all when Trace is nil.
-	Now func() time.Time
 	// Board, when non-nil, switches the search to the hop-weighted
 	// interconnect objective over the board's device slots: part i is
 	// placed on board slot i, every carve's FM run is weighted by the
@@ -136,18 +138,7 @@ type Options struct {
 	// to the uninterrupted run. The checkpoint's Seed and Solutions
 	// must match the options.
 	Resume *SearchCheckpoint
-	// Spans, when armed, records the search as a causal span tree
-	// under the caller's scope (internal/span): one "search" span over
-	// the whole reduction, an "attempt" span per solution attempt
-	// (minted by internal/search), "fold"/"verify" spans inside each
-	// attempt, engine spans (fm-pass / parfm-pass / coarsen / level /
-	// uncoarsen) beneath, and a "resume" span over a checkpoint
-	// replay. Spans only read the injectable clock — fixed-seed
-	// results are byte-identical armed or disarmed (the golden-diff
-	// suite runs both), and the disarmed zero value costs one
-	// predicted branch per site.
-	Spans span.Scope
-	Seed  int64
+	Seed   int64
 }
 
 // VerificationError reports an in-loop invariant violation detected by
@@ -288,16 +279,6 @@ func PartitionContext(ctx context.Context, g *hypergraph.Graph, opts Options) (R
 	if g.NumCells() == 0 {
 		return Result{}, errors.New("kway: empty circuit")
 	}
-	// now is read only when a trace sink is armed; phase durations
-	// feed the sink and nothing else, preserving the byte-identical
-	// fixed-seed contract (see TestTelemetryDoesNotPerturbSearch).
-	now := opts.Now
-	if now == nil {
-		now = time.Now
-	}
-	emitPhase := func(sink trace.Sink, attempt int, phase string, start time.Time) {
-		sink.Event(trace.Event{Kind: trace.KindPhase, Attempt: attempt, Phase: phase, Dur: now().Sub(start)})
-	}
 	// newAttempt builds one worker's attempt function against an options
 	// value. The search workers run it with opts verbatim; the resume
 	// path replays the checkpoint's incumbent attempt with trace and
@@ -321,23 +302,21 @@ func PartitionContext(ctx context.Context, g *hypergraph.Graph, opts Options) (R
 					panic(v)
 				}
 			}()
-			// The orchestrator hands each attempt its own span scope
-			// through the context; engine spans (fm-pass, level, …)
-			// nest under it via the options copy.
+			// The hook carries the attempt label, and the span scope the
+			// orchestrator hands each attempt through the context, down
+			// to the engine sites (carve, fm-pass, level, …).
+			o.Hook.Attempt = attempt
 			if scope := span.FromContext(ctx); scope.Enabled() {
-				o.Spans = scope
+				o.Hook.Spans = scope
 			}
-			parts, tr, err := partitionOnce(ctx, g, o, attempt, seed, &sc)
+			parts, tr, err := partitionOnce(ctx, g, o, seed, &sc)
 			if err != nil {
 				return Result{}, err
 			}
-			var foldStart time.Time
-			if o.Trace != nil {
-				foldStart = now()
-			}
-			foldSpan := o.Spans.Start("fold", attempt)
+			foldPhase := o.Hook.Phase(trace.PhaseFold)
 			remapDevices(parts, o.Library)
 			res := assemble(g, parts)
+			var rerr error
 			if tr != nil {
 				res.Summary.TopoCost = tr.cost()
 				res.Summary.HasTopo = true
@@ -348,42 +327,26 @@ func PartitionContext(ctx context.Context, g *hypergraph.Graph, opts Options) (R
 				for i := range parts {
 					graphs[i] = parts[i].Graph
 				}
-				if rerr := verify.Routing(tr.board, graphs); rerr != nil {
-					foldSpan.End()
-					return Result{}, fmt.Errorf("kway: board %s: %w", tr.board.Name, rerr)
-				}
+				rerr = verify.Routing(tr.board, graphs)
 			}
-			foldSpan.End()
-			if o.Trace != nil {
-				emitPhase(o.Trace, attempt, trace.PhaseFold, foldStart)
+			foldPhase.End()
+			if rerr != nil {
+				return Result{}, fmt.Errorf("kway: board %s: %w", tr.board.Name, rerr)
 			}
 			if o.Verify {
-				var verifyStart time.Time
-				if o.Trace != nil {
-					verifyStart = now()
-				}
-				verifySpan := o.Spans.Start("verify", attempt)
-				if verr := res.Verify(g); verr != nil {
-					verifySpan.End()
+				verifyPhase := o.Hook.Phase(trace.PhaseVerify)
+				verr := res.Verify(g)
+				verifyPhase.End()
+				if verr != nil {
 					return Result{}, &VerificationError{Stage: "solution", Err: verr}
-				}
-				verifySpan.End()
-				if o.Trace != nil {
-					emitPhase(o.Trace, attempt, trace.PhaseVerify, verifyStart)
 				}
 			}
 			return res, nil
 		}
 	}
 	replayOpts := opts
-	replayOpts.Trace = nil
+	replayOpts.Hook.Sink = nil
 	replayOpts.Inject = nil
-	// The search phase covers the whole reduction, a checkpoint replay
-	// included (the replay itself is untraced, so it reads no clock).
-	var searchStart time.Time
-	if opts.Trace != nil {
-		searchStart = now()
-	}
 	best, fold, err := Search(ctx, opts, Attempts[Result]{
 		New:    func() search.AttemptFunc[Result] { return newAttempt(opts) },
 		Replay: newAttempt(replayOpts),
@@ -396,9 +359,6 @@ func PartitionContext(ctx context.Context, g *hypergraph.Graph, opts Options) (R
 		},
 		Score: func(r Result) metrics.Score { return r.Summary.Score() },
 	})
-	if opts.Trace != nil && fold.ran {
-		emitPhase(opts.Trace, -1, trace.PhaseSearch, searchStart)
-	}
 	if err != nil {
 		return Result{}, err
 	}
@@ -518,7 +478,7 @@ func (tr *slotTracker) cost() int {
 
 // partitionOnce builds one complete k-way solution or fails. The
 // returned tracker is nil unless a board is armed.
-func partitionOnce(ctx context.Context, g *hypergraph.Graph, opts Options, attempt int, seed int64, sc *carveScratch) ([]Part, *slotTracker, error) {
+func partitionOnce(ctx context.Context, g *hypergraph.Graph, opts Options, seed int64, sc *carveScratch) ([]Part, *slotTracker, error) {
 	r := rand.New(rand.NewSource(seed))
 	tr := newSlotTracker(opts.Board)
 	queue := []*hypergraph.Graph{g}
@@ -548,7 +508,7 @@ func partitionOnce(ctx context.Context, g *hypergraph.Graph, opts Options, attem
 			parts = append(parts, Part{Graph: sub, Device: dev, Replicas: countReplicas(sub)})
 			continue
 		}
-		carved, rest, dev, err := carve(ctx, sub, opts, attempt, seed, r, sc, tr, len(parts))
+		carved, rest, dev, err := carve(ctx, sub, opts, seed, r, sc, tr, len(parts))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -574,12 +534,9 @@ func scratchStats(sc *carveScratch, sub *hypergraph.Graph) replication.Stats {
 // emitCarve reports one carve try to the trace sink. reason is a
 // static code for rejections ("" for acceptance); res carries the FM
 // work and delta the replication-state work of this try.
-func emitCarve(opts *Options, attempt int, kind trace.Kind, reason string, dev string, area, terms int, res fm.Result, delta replication.Stats) {
-	if opts.Trace == nil {
-		return
-	}
-	opts.Trace.Event(trace.Event{
-		Kind: kind, Attempt: attempt, Reason: reason, Device: dev,
+func emitCarve(h trace.Hook, kind trace.Kind, reason string, dev string, area, terms int, res fm.Result, delta replication.Stats) {
+	h.Event(trace.Event{
+		Kind: kind, Attempt: h.Attempt, Reason: reason, Device: dev,
 		Area: area, Terminals: terms,
 		Moves: res.Moves, Pass: res.Passes,
 		Replicas: int(delta.Replicas), Rollbacks: int(delta.Rollbacks),
@@ -593,7 +550,7 @@ func emitCarve(opts *Options, attempt int, kind trace.Kind, reason string, dev s
 // board tracker armed, the carved block is headed for slot s0 and the
 // remainder anchored at s0+1; every FM run of the carve then minimizes
 // the marginal hop-weighted span instead of the flat cut.
-func carve(ctx context.Context, sub *hypergraph.Graph, opts Options, attempt int, seed int64, r *rand.Rand, sc *carveScratch, tr *slotTracker, s0 int) (carved, rest *hypergraph.Graph, dev library.Device, err error) {
+func carve(ctx context.Context, sub *hypergraph.Graph, opts Options, seed int64, r *rand.Rand, sc *carveScratch, tr *slotTracker, s0 int) (carved, rest *hypergraph.Graph, dev library.Device, err error) {
 	var weights []replication.NetWeights
 	if tr != nil {
 		// The remainder is non-empty (otherwise the subcircuit would
@@ -630,7 +587,7 @@ func carve(ctx context.Context, sub *hypergraph.Graph, opts Options, attempt int
 		// solution attempt (it folds as a failed attempt), an injected
 		// panic is contained one level up, a delay just stalls the try.
 		if opts.Inject != nil {
-			if ferr := opts.Inject.At(faultinject.SiteCarve, attempt, try, seed); ferr != nil {
+			if ferr := opts.Inject.At(faultinject.SiteCarve, opts.Hook.Attempt, try, seed); ferr != nil {
 				return nil, nil, library.Device{}, ferr
 			}
 		}
@@ -645,7 +602,7 @@ func carve(ctx context.Context, sub *hypergraph.Graph, opts Options, attempt int
 		d, ok := pickDevice(devices, total, desired, density, r, try)
 		if !ok {
 			lastErr = fmt.Errorf("kway: no device can carve %d CLBs from %d", desired, total)
-			emitCarve(&opts, attempt, trace.KindCarveRejected, "no-device", "", desired, 0, fm.Result{}, replication.Stats{})
+			emitCarve(opts.Hook, trace.KindCarveRejected, "no-device", "", desired, 0, fm.Result{}, replication.Stats{})
 			continue
 		}
 		target := desired
@@ -657,20 +614,20 @@ func carve(ctx context.Context, sub *hypergraph.Graph, opts Options, attempt int
 		}
 		if target < d.MinCLBs() {
 			lastErr = fmt.Errorf("kway: device %s cannot carve from %d CLBs", d.Name, total)
-			emitCarve(&opts, attempt, trace.KindCarveRejected, "device-window", d.Name, target, 0, fm.Result{}, replication.Stats{})
+			emitCarve(opts.Hook, trace.KindCarveRejected, "device-window", d.Name, target, 0, fm.Result{}, replication.Stats{})
 			continue
 		}
 		before := scratchStats(sc, sub)
-		st, res, cerr := carveFM(sub, d, target, total, opts, attempt, r.Int63(), termPressure, sc, weights)
+		st, res, cerr := carveFM(sub, d, target, total, opts, r.Int63(), termPressure, sc, weights)
 		if cerr != nil {
 			lastErr = cerr
-			emitCarve(&opts, attempt, trace.KindCarveRejected, "fm", d.Name, target, 0, fm.Result{}, scratchStats(sc, sub).Sub(before))
+			emitCarve(opts.Hook, trace.KindCarveRejected, "fm", d.Name, target, 0, fm.Result{}, scratchStats(sc, sub).Sub(before))
 			continue
 		}
 		delta := st.Stats().Sub(before)
 		if terms := st.Terminals(0); terms > d.IOBs {
 			lastErr = fmt.Errorf("kway: carve for %s needs %d terminals > %d", d.Name, terms, d.IOBs)
-			emitCarve(&opts, attempt, trace.KindCarveRejected, "terminals", d.Name, st.Area(0), terms, res, delta)
+			emitCarve(opts.Hook, trace.KindCarveRejected, "terminals", d.Name, st.Area(0), terms, res, delta)
 			termFails++
 			// First failure: switch the FM objective to t_P0 and retry
 			// at the same size. Repeated failures under the terminal
@@ -691,18 +648,18 @@ func carve(ctx context.Context, sub *hypergraph.Graph, opts Options, attempt int
 		}
 		if st.Area(0) < d.MinCLBs() || st.Area(0) > d.MaxCLBs() {
 			lastErr = fmt.Errorf("kway: carve area %d outside device %s window", st.Area(0), d.Name)
-			emitCarve(&opts, attempt, trace.KindCarveRejected, "area-window", d.Name, st.Area(0), st.Terminals(0), res, delta)
+			emitCarve(opts.Hook, trace.KindCarveRejected, "area-window", d.Name, st.Area(0), st.Terminals(0), res, delta)
 			continue
 		}
 		c, rst, merr := materialize(sub, st)
 		if merr != nil {
 			lastErr = merr
-			emitCarve(&opts, attempt, trace.KindCarveRejected, "materialize", d.Name, st.Area(0), st.Terminals(0), res, delta)
+			emitCarve(opts.Hook, trace.KindCarveRejected, "materialize", d.Name, st.Area(0), st.Terminals(0), res, delta)
 			continue
 		}
 		if rst.TotalArea() >= total {
 			lastErr = fmt.Errorf("kway: carve made no progress (replication blow-up)")
-			emitCarve(&opts, attempt, trace.KindCarveRejected, "no-progress", d.Name, st.Area(0), st.Terminals(0), res, delta)
+			emitCarve(opts.Hook, trace.KindCarveRejected, "no-progress", d.Name, st.Area(0), st.Terminals(0), res, delta)
 			continue
 		}
 		if opts.Verify {
@@ -713,7 +670,7 @@ func carve(ctx context.Context, sub *hypergraph.Graph, opts Options, attempt int
 				return nil, nil, library.Device{}, &VerificationError{Stage: "carve", Err: verr}
 			}
 		}
-		emitCarve(&opts, attempt, trace.KindCarveAccepted, "", d.Name, st.Area(0), st.Terminals(0), res, delta)
+		emitCarve(opts.Hook, trace.KindCarveAccepted, "", d.Name, st.Area(0), st.Terminals(0), res, delta)
 		return c, rst, d, nil
 	}
 	return nil, nil, library.Device{}, fmt.Errorf("kway: all carve attempts failed: %w", lastErr)
@@ -763,7 +720,7 @@ func pickDevice(devices []library.Device, totalArea, desired int, density float6
 // With pinTerminals, the FM objective becomes t_P0 instead of the cut.
 // A non-nil weights table switches the run to the weighted topology
 // objective (replication.SetNetWeights).
-func carveFM(sub *hypergraph.Graph, d library.Device, target, total int, opts Options, attempt int, seed int64, pinTerminals bool, sc *carveScratch, weights []replication.NetWeights) (*replication.State, fm.Result, error) {
+func carveFM(sub *hypergraph.Graph, d library.Device, target, total int, opts Options, seed int64, pinTerminals bool, sc *carveScratch, weights []replication.NetWeights) (*replication.State, fm.Result, error) {
 	// The carve must stay near its target: without a floor, FM
 	// minimizes the cut by collapsing block 0 to a handful of cells,
 	// which wastes a device per carve.
@@ -780,9 +737,7 @@ func carveFM(sub *hypergraph.Graph, d library.Device, target, total int, opts Op
 		Threshold:     opts.Threshold,
 		RefineWorkers: opts.RefineWorkers,
 		Seed:          seed,
-		Trace:         opts.Trace,
-		TraceAttempt:  attempt,
-		Spans:         opts.Spans,
+		Hook:          opts.Hook,
 		Inject:        opts.Inject,
 	}
 	// The initial assignment: flat cluster growth by default; behind
@@ -801,10 +756,7 @@ func carveFM(sub *hypergraph.Graph, d library.Device, target, total int, opts Op
 			PinExternal:   pinTerminals,
 			RefineWorkers: opts.RefineWorkers,
 			Seed:          seed,
-			Trace:         opts.Trace,
-			TraceAttempt:  attempt,
-			Spans:         opts.Spans,
-			Now:           opts.Now,
+			Hook:          opts.Hook,
 		}
 		if weights != nil {
 			// Contraction preserves net names, so the V-cycle threads

@@ -78,11 +78,6 @@ type Fold struct {
 	// from (meaningful only when Resumed).
 	Resumed     bool
 	ResumedFrom int
-
-	// ran reports that the options and any resume checkpoint were
-	// accepted and the reduction started; PartitionContext emits its
-	// search-phase timing only then.
-	ran bool
 }
 
 // Attempts is what a search reduction needs from its caller; Search
@@ -113,7 +108,8 @@ type Attempts[T any] struct {
 // Search validates opts, emits the KindSolution, KindResume and
 // KindCheckpoint trace events, honours opts.Resume (the checkpoint's
 // incumbent is rebuilt through a.Replay under a "resume" span),
-// delivers opts.Checkpoint snapshots and opens the "search" span.
+// delivers opts.Checkpoint snapshots and times the search phase (the
+// "search" span and, with a sink, its KindPhase event).
 // Options fields that shape single attempts (Library, Threshold,
 // Board, ...) are the caller's business. The error contract is
 // PartitionContext's: a fatal attempt surfaces its own error, a budget
@@ -148,9 +144,7 @@ func Search[T any](ctx context.Context, opts Options, a Attempts[T]) (T, Fold, e
 				if panicked {
 					fold.PanickedSeeds = append(fold.PanickedSeeds, perr.Seed)
 				}
-				if opts.Trace != nil {
-					opts.Trace.Event(trace.Event{Kind: trace.KindSolution, Attempt: attempt, Reason: err.Error(), Panic: panicked})
-				}
+				opts.Hook.Event(trace.Event{Kind: trace.KindSolution, Attempt: attempt, Reason: err.Error(), Panic: panicked})
 				return
 			}
 			fold.Feasible++
@@ -162,13 +156,11 @@ func Search[T any](ctx context.Context, opts Options, a Attempts[T]) (T, Fold, e
 				fold.CostMax = sc.Cost
 			}
 			costSum += sc.Cost
-			if opts.Trace != nil {
-				opts.Trace.Event(trace.Event{
-					Kind: trace.KindSolution, Attempt: attempt,
-					Feasible: true, Cost: sc.Cost, Parts: sc.K, Improved: improved,
-					Topo: sc.Topo, HasTopo: sc.HasTopo,
-				})
-			}
+			opts.Hook.Event(trace.Event{
+				Kind: trace.KindSolution, Attempt: attempt,
+				Feasible: true, Cost: sc.Cost, Parts: sc.K, Improved: improved,
+				Topo: sc.Topo, HasTopo: sc.HasTopo,
+			})
 		},
 	}
 	if cp := opts.Resume; cp != nil {
@@ -200,8 +192,8 @@ func Search[T any](ctx context.Context, opts Options, a Attempts[T]) (T, Fold, e
 			// caller derives the TraceID from the checkpoint identity),
 			// so a crash-recovered job reads as one timeline.
 			rctx := ctx
-			resumeSpan := opts.Spans.Start("resume", cp.BestAttempt)
-			if opts.Spans.Enabled() {
+			resumeSpan := opts.Hook.At(cp.BestAttempt).Start("resume")
+			if opts.Hook.Spans.Enabled() {
 				resumeSpan.Detail(fmt.Sprintf("folded=%d best_attempt=%d", cp.Folded, cp.BestAttempt))
 				rctx = span.NewContext(ctx, resumeSpan.Scope())
 			}
@@ -213,9 +205,7 @@ func Search[T any](ctx context.Context, opts Options, a Attempts[T]) (T, Fold, e
 			rs.Best, rs.Found = sol, true
 		}
 		drv.Resume = rs
-		if opts.Trace != nil {
-			opts.Trace.Event(trace.Event{Kind: trace.KindResume, Attempt: cp.Folded, Folded: cp.Folded, BestAttempt: cp.BestAttempt})
-		}
+		opts.Hook.Event(trace.Event{Kind: trace.KindResume, Attempt: cp.Folded, Folded: cp.Folded, BestAttempt: cp.BestAttempt})
 	}
 	// The checkpoint hook runs inside the single-threaded reducer,
 	// immediately after Observe for the same attempt, so the aggregates
@@ -243,14 +233,11 @@ func Search[T any](ctx context.Context, opts Options, a Attempts[T]) (T, Fold, e
 			if len(fold.PanickedSeeds) > 0 {
 				cp.PanickedSeeds = append([]int64(nil), fold.PanickedSeeds...)
 			}
-			if opts.Trace != nil {
-				opts.Trace.Event(trace.Event{Kind: trace.KindCheckpoint, Attempt: p.Folded - 1, Folded: p.Folded, BestAttempt: p.BestAttempt})
-			}
+			opts.Hook.Event(trace.Event{Kind: trace.KindCheckpoint, Attempt: p.Folded - 1, Folded: p.Folded, BestAttempt: p.BestAttempt})
 			opts.Checkpoint(cp)
 		}
 	}
-	fold.ran = true
-	searchSpan := opts.Spans.Start("search", -1)
+	searchPhase := opts.Hook.At(-1).Phase(trace.PhaseSearch)
 	out, serr := search.Run(ctx, search.Options{
 		Attempts:   opts.Solutions,
 		Workers:    opts.Workers,
@@ -259,9 +246,9 @@ func Search[T any](ctx context.Context, opts Options, a Attempts[T]) (T, Fold, e
 		MaxStale:   opts.MaxStale,
 		Inject:     opts.Inject,
 		Checkpoint: sCheckpoint,
-		Spans:      searchSpan.Scope(),
+		Spans:      searchPhase.Scope(),
 	}, drv)
-	searchSpan.End()
+	searchPhase.End()
 	var budget *search.ErrBudget
 	if serr != nil {
 		var ae *search.AttemptError

@@ -59,7 +59,7 @@ func runCheckpointed(t *testing.T, opts kway.Options, p *bench.Params) (kway.Res
 	}
 	rec := &trace.Recorder{}
 	var cps []kway.SearchCheckpoint
-	opts.Trace = rec
+	opts.Hook.Sink = rec
 	opts.CheckpointEvery = 1
 	opts.Checkpoint = func(cp kway.SearchCheckpoint) { cps = append(cps, cp) }
 	res, err := kway.Partition(g, opts)

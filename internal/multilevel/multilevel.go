@@ -33,14 +33,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"fpgapart/internal/cluster"
 	"fpgapart/internal/fm"
 	"fpgapart/internal/hypergraph"
 	"fpgapart/internal/replication"
 	"fpgapart/internal/search"
-	"fpgapart/internal/span"
 	"fpgapart/internal/trace"
 )
 
@@ -113,23 +111,13 @@ type Config struct {
 	NetWeights map[string]replication.NetWeights
 	// Seed derives every random stream of the run.
 	Seed int64
-	// Trace, when non-nil, receives one trace.KindLevel event per
-	// refined level plus coarsen/uncoarsen phase timings. TraceAttempt
-	// labels the events with the enclosing solution attempt (-1 for
-	// standalone runs). Clock readings feed only the sink, never
-	// search decisions.
-	Trace        trace.Sink
-	TraceAttempt int
-	// Spans, when armed, times the V-cycle as a span subtree of the
-	// enclosing attempt: one "coarsen" span, one "level" span per
-	// refined level (FM/parfm pass spans nest under it), and one
-	// "uncoarsen" span over the projection sweep. The disarmed zero
-	// value is inert. Span clock readings feed only the trace, never
-	// search decisions.
-	Spans span.Scope
-	// Now supplies the wall clock for phase events (nil = time.Now;
-	// never read when Trace is nil).
-	Now func() time.Time
+	// Hook instruments the cycle as part of the enclosing attempt
+	// (Hook.Attempt, -1 for standalone runs): a "coarsen" and an
+	// "uncoarsen" phase (span plus, with a sink, KindPhase timing), one
+	// "level" span and one trace.KindLevel event per refined level, and
+	// the FM/parfm pass instrumentation beneath. Instrumentation feeds
+	// only observability, never search decisions.
+	Hook trace.Hook
 }
 
 func (c Config) withDefaults() Config {
@@ -225,26 +213,15 @@ func Run(g *hypergraph.Graph, cfg Config) (Result, error) {
 		target = hi
 	}
 
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
-	}
-	var coarsenStart time.Time
-	if cfg.Trace != nil {
-		coarsenStart = now()
-	}
-	coarsenSpan := cfg.Spans.Start("coarsen", cfg.TraceAttempt)
+	coarsenPhase := cfg.Hook.Phase(trace.PhaseCoarsen)
 	levels := coarsen(g, cfg, target)
-	coarsenSpan.End()
-	if cfg.Trace != nil {
-		cfg.Trace.Event(trace.Event{Kind: trace.KindPhase, Attempt: cfg.TraceAttempt, Phase: trace.PhaseCoarsen, Dur: now().Sub(coarsenStart)})
-	}
+	coarsenPhase.End()
 	top := len(levels) - 1
 
 	var res Result
-	topSpan := cfg.Spans.Start("level", cfg.TraceAttempt)
+	topSpan := cfg.Hook.Start("level")
 	topCfg := cfg
-	topCfg.Spans = topSpan.Scope()
+	topCfg.Hook.Spans = topSpan.Scope()
 	assign, stats, err := initialPartition(levels[top], topCfg, window(lo, hi, total, slack(cfg, levels[top])), target)
 	if err != nil {
 		topSpan.End()
@@ -258,28 +235,23 @@ func Run(g *hypergraph.Graph, cfg Config) (Result, error) {
 	res.Levels = append(res.Levels, stats)
 	emitLevel(cfg, stats)
 
-	var uncoarsenStart time.Time
-	if cfg.Trace != nil {
-		uncoarsenStart = now()
-	}
-	uncoarsenSpan := cfg.Spans.Start("uncoarsen", cfg.TraceAttempt)
+	uncoarsenPhase := cfg.Hook.Phase(trace.PhaseUncoarsen)
+	defer uncoarsenPhase.End()
 	var runner fm.Runner
 	cut := stats.CutRefined
 	area0 := areaOf(levels[top].g, assign)
 	for l := top - 1; l >= 0; l-- {
 		fine, perr := levels[l+1].cl.Project(assign, levels[l].g.NumCells())
 		if perr != nil {
-			uncoarsenSpan.End()
 			return Result{}, fmt.Errorf("multilevel: level %d projection: %w", l, perr)
 		}
 		assign = fine
-		lvlSpan := uncoarsenSpan.Scope().Start("level", cfg.TraceAttempt)
+		lvlSpan := uncoarsenPhase.Scope().Start("level", cfg.Hook.Attempt)
 		lvlCfg := cfg
-		lvlCfg.Spans = lvlSpan.Scope()
+		lvlCfg.Hook.Spans = lvlSpan.Scope()
 		st, cutProj, lvl, lerr := refineLevel(&runner, levels[l], assign, lvlCfg, window(lo, hi, total, slack(cfg, levels[l])), l)
 		if lerr != nil {
 			lvlSpan.End()
-			uncoarsenSpan.End()
 			return Result{}, lerr
 		}
 		lvl.CutProjected = cutProj
@@ -294,10 +266,6 @@ func Run(g *hypergraph.Graph, cfg Config) (Result, error) {
 		}
 		cut = lvl.CutRefined
 		area0 = st.Area(0)
-	}
-	uncoarsenSpan.End()
-	if cfg.Trace != nil {
-		cfg.Trace.Event(trace.Event{Kind: trace.KindPhase, Attempt: cfg.TraceAttempt, Phase: trace.PhaseUncoarsen, Dur: now().Sub(uncoarsenStart)})
 	}
 
 	res.Assign = assign
@@ -318,11 +286,8 @@ func levelDetail(s LevelStats) string {
 
 // emitLevel reports one refined level to the trace sink.
 func emitLevel(cfg Config, s LevelStats) {
-	if cfg.Trace == nil {
-		return
-	}
-	cfg.Trace.Event(trace.Event{
-		Kind: trace.KindLevel, Attempt: cfg.TraceAttempt,
+	cfg.Hook.Event(trace.Event{
+		Kind: trace.KindLevel, Attempt: cfg.Hook.Attempt,
 		Level: s.Level, Cells: s.Cells,
 		Area: s.Area0, Cut: s.CutRefined,
 		Moves: s.Moves, Pass: s.Passes,
@@ -457,8 +422,7 @@ func initialPartition(lv level, cfg Config, w bounds, target int) ([]replication
 					Threshold:     fm.NoReplication,
 					RefineWorkers: cfg.RefineWorkers,
 					Seed:          seed,
-					Trace:         cfg.Trace, TraceAttempt: cfg.TraceAttempt,
-					Spans: cfg.Spans,
+					Hook:          cfg.Hook,
 				})
 				if err != nil {
 					return sol{}, err
@@ -524,8 +488,7 @@ func refineLevel(runner *fm.Runner, lv level, assign []replication.Block, cfg Co
 		Threshold:     fm.NoReplication,
 		RefineWorkers: cfg.RefineWorkers,
 		Seed:          cfg.Seed + int64(l+1)*refineStride,
-		Trace:         cfg.Trace, TraceAttempt: cfg.TraceAttempt,
-		Spans: cfg.Spans,
+		Hook:          cfg.Hook,
 	})
 	if err != nil {
 		return nil, 0, LevelStats{}, fmt.Errorf("multilevel: level %d refinement: %w", l, err)

@@ -58,7 +58,7 @@ func TestParFMPassAllocs(t *testing.T) {
 			var r Runner
 			cfg := Config{
 				MinArea: [2]int{lo, lo}, MaxArea: [2]int{hi, hi},
-				Threshold: tc.threshold, Workers: 2, Trace: tc.sink,
+				Threshold: tc.threshold, Workers: 2, Hook: trace.Hook{Sink: tc.sink},
 			}
 			if _, err := r.Run(st, cfg); err != nil {
 				t.Fatal(err)
@@ -74,7 +74,7 @@ func TestParFMPassAllocs(t *testing.T) {
 			// the round loop does: a zero Scope must cost a predicted
 			// branch, never an allocation.
 			if avg := testing.AllocsPerRun(5, func() {
-				run := r.cfg.Spans.Start("parfm-pass", r.cfg.TraceAttempt)
+				run := r.cfg.Hook.Start("parfm-pass")
 				r.pass(&res)
 				run.End()
 			}); avg != 0 {

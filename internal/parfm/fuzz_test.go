@@ -88,7 +88,7 @@ func FuzzProposeCommit(f *testing.F) {
 			t.Skip() // initial assignment outside the fuzzed bounds
 		}
 		rc := &roundChecker{t: t, st: st, cfg: cfg}
-		cfg.Trace = rc
+		cfg.Hook.Sink = rc
 		res, err := parfm.Run(st, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -105,7 +105,7 @@ func FuzzProposeCommit(f *testing.F) {
 			t.Fatal(err)
 		}
 		cfg1 := cfg
-		cfg1.Trace = nil
+		cfg1.Hook.Sink = nil
 		cfg1.Workers = 1
 		res1, err := parfm.Run(st1, cfg1)
 		if err != nil {

@@ -51,7 +51,6 @@ import (
 	"fpgapart/internal/faultinject"
 	"fpgapart/internal/hypergraph"
 	"fpgapart/internal/replication"
-	"fpgapart/internal/span"
 	"fpgapart/internal/trace"
 )
 
@@ -82,15 +81,11 @@ type Config struct {
 	// does not influence the result; diversity across attempts comes
 	// from the seeded initial assignment.
 	Seed int64
-	// Trace, when non-nil, receives one KindParRound event per
-	// sub-round and one KindFMPass event per completed pass.
-	Trace trace.Sink
-	// TraceAttempt labels emitted events; use -1 for standalone runs.
-	TraceAttempt int
-	// Spans, when armed, times every pass as a "parfm-pass" span in
-	// the enclosing attempt's trace. The disarmed zero value costs a
-	// single predicted branch per pass (see TestParFMPassAllocs).
-	Spans span.Scope
+	// Hook instruments the run: one KindParRound event per sub-round,
+	// one KindFMPass event per completed pass and one "parfm-pass" span
+	// around it. The disarmed zero value costs a single predicted
+	// branch per pass (see TestParFMPassAllocs).
+	Hook trace.Hook
 	// Inject, when non-nil, consults the fault plan at every pass
 	// boundary, mirroring the serial engine's injection site.
 	Inject *faultinject.Plan
@@ -240,12 +235,12 @@ func (r *Runner) Run(st *replication.State, cfg Config) (Result, error) {
 		any := false
 		for pass := 0; pass < MaxPasses; pass++ {
 			if cfg.Inject != nil {
-				if err := cfg.Inject.At(faultinject.SitePass, cfg.TraceAttempt, res.Passes, cfg.Seed); err != nil {
+				if err := cfg.Inject.At(faultinject.SitePass, cfg.Hook.Attempt, res.Passes, cfg.Seed); err != nil {
 					injectErr = err
 					return any
 				}
 			}
-			run := cfg.Spans.Start("parfm-pass", cfg.TraceAttempt)
+			run := cfg.Hook.Start("parfm-pass")
 			improved, moves := r.pass(&res)
 			run.End()
 			res.Passes++
@@ -368,17 +363,15 @@ func (r *Runner) pass(res *Result) (bool, int) {
 		res.Proposals += proposed
 		res.Commits += commits
 		res.Stale += stale
-		if r.cfg.Trace != nil {
-			r.cfg.Trace.Event(trace.Event{
-				Kind:      trace.KindParRound,
-				Attempt:   r.cfg.TraceAttempt,
-				Pass:      r.passSeq + 1,
-				Round:     round,
-				Proposals: proposed,
-				Commits:   commits,
-				Stale:     stale,
-			})
-		}
+		r.cfg.Hook.Event(trace.Event{
+			Kind:      trace.KindParRound,
+			Attempt:   r.cfg.Hook.Attempt,
+			Pass:      r.passSeq + 1,
+			Round:     round,
+			Proposals: proposed,
+			Commits:   commits,
+			Stale:     stale,
+		})
 		if commits == 0 {
 			// Nothing feasible remains: no cell was committed, so no
 			// proposal went stale and the buckets hold only
@@ -393,15 +386,13 @@ func (r *Runner) pass(res *Result) (bool, int) {
 		panic(fmt.Sprintf("parfm: rollback: %v", err))
 	}
 	r.passSeq++
-	if r.cfg.Trace != nil {
-		r.cfg.Trace.Event(trace.Event{
-			Kind:    trace.KindFMPass,
-			Attempt: r.cfg.TraceAttempt,
-			Pass:    r.passSeq,
-			Moves:   moves,
-			Cut:     bestCut,
-		})
-	}
+	r.cfg.Hook.Event(trace.Event{
+		Kind:    trace.KindFMPass,
+		Attempt: r.cfg.Hook.Attempt,
+		Pass:    r.passSeq,
+		Moves:   moves,
+		Cut:     bestCut,
+	})
 	return bestCut < startCut, moves
 }
 

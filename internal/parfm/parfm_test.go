@@ -115,8 +115,8 @@ func TestRepeatableTrace(t *testing.T) {
 		}
 		rec := &trace.Recorder{}
 		cfg := testCfg(g, 0, 4)
-		cfg.Trace = rec
-		cfg.TraceAttempt = -1
+		cfg.Hook.Sink = rec
+		cfg.Hook.Attempt = -1
 		if _, err := parfm.Run(st, cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -191,8 +191,8 @@ func TestSubRoundTraceAccounting(t *testing.T) {
 	}
 	rec := &trace.Recorder{}
 	cfg := testCfg(g, 0, 3)
-	cfg.Trace = rec
-	cfg.TraceAttempt = 42
+	cfg.Hook.Sink = rec
+	cfg.Hook.Attempt = 42
 	res, err := parfm.Run(st, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +259,7 @@ func TestFaultInjectionAtPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testCfg(g, parfm.NoReplication, 2)
-	cfg.TraceAttempt = 0
+	cfg.Hook.Attempt = 0
 	cfg.Inject = faultinject.NewPlan(faultinject.Rule{
 		Site: faultinject.SitePass, Kind: faultinject.KindCancel,
 		Attempt: faultinject.Any, Index: 1,

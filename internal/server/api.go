@@ -261,11 +261,11 @@ func (w *muxErrorWriter) Write(b []byte) (int, error) {
 // Parse failures return a *netlist.ParseError / *hypergraph.ParseError
 // for the 400 path, with line/column context intact.
 func (s *Server) parseRequest(req *JobRequest) (*hypergraph.Graph, core.Options, time.Duration, error) {
-	parseStart := s.clock.Now()
+	parseStart := s.cfg.Clock()
 	defer func() {
 		s.met.bridge.Event(trace.Event{
 			Kind: trace.KindPhase, Attempt: -1,
-			Phase: trace.PhaseParse, Dur: s.clock.Now().Sub(parseStart),
+			Phase: trace.PhaseParse, Dur: s.cfg.Clock().Sub(parseStart),
 		})
 	}()
 	var g *hypergraph.Graph

@@ -153,9 +153,9 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		}
 		w.Header().Set("X-Request-Id", rid)
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		start := s.clock.Now()
+		start := s.cfg.Clock()
 		h(rec, r.WithContext(context.WithValue(r.Context(), requestIDKey{}, rid)))
-		latency.Observe(s.clock.Now().Sub(start).Seconds())
+		latency.Observe(s.cfg.Clock().Sub(start).Seconds())
 		s.met.reqTotal.With(endpoint, strconv.Itoa(rec.code)).Inc()
 	}
 }

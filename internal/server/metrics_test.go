@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -113,13 +114,45 @@ func TestMetricsSharedRegistry(t *testing.T) {
 	metricValue(t, out, "fpgapart_workers") // server metrics live in the same registry
 }
 
+// fakeClock is a manually advanced clock for Config.Clock.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func newFakeClock(t time.Time) *fakeClock { return &fakeClock{t: t} }
+
+func (c *fakeClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *fakeClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
+
+func TestFakeClock(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	c := newFakeClock(t0)
+	if !c.Now().Equal(t0) {
+		t.Fatal("fake clock start")
+	}
+	c.Advance(3 * time.Second)
+	if got := c.Now().Sub(t0); got != 3*time.Second {
+		t.Fatalf("advance: %v", got)
+	}
+}
+
 // An injected fake clock must drive the latency histogram: with no
 // advance between readings every observation is exactly zero, so the
 // whole count lands in the first bucket — deterministic latency
 // metrics for tests.
 func TestMetricsFakeClock(t *testing.T) {
-	fc := telemetry.NewFakeClock(time.Unix(1_700_000_000, 0))
-	_, ts := newTestServer(t, Config{Clock: fc})
+	fc := newFakeClock(time.Unix(1_700_000_000, 0))
+	_, ts := newTestServer(t, Config{Clock: fc.Now})
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)

@@ -82,7 +82,7 @@ type Config struct {
 	// timing and job durations (nil selects the system clock). The
 	// clock feeds only observability — never search decisions — so
 	// fixed-seed job results are byte-identical under a fake clock.
-	Clock telemetry.Clock
+	Clock func() time.Time
 	// Tracer records every job as a causal span tree (see
 	// internal/span): a "job" root span whose descendants cover the
 	// search attempts, V-cycle levels and FM passes, served by GET
@@ -145,10 +145,10 @@ func (c Config) withDefaults() Config {
 		c.Metrics = telemetry.NewRegistry()
 	}
 	if c.Clock == nil {
-		c.Clock = telemetry.SystemClock()
+		c.Clock = time.Now
 	}
 	if c.Tracer == nil {
-		c.Tracer = span.NewTracer(span.Options{Process: "kpartd", Now: c.Clock.Now})
+		c.Tracer = span.NewTracer(span.Options{Process: "kpartd", Now: c.Clock})
 	}
 	return c
 }
@@ -244,11 +244,10 @@ func (j *job) status() JobStatus {
 
 // Server is the HTTP handler plus the worker pool behind it.
 type Server struct {
-	cfg   Config
-	mux   *http.ServeMux
-	log   *slog.Logger
-	clock telemetry.Clock
-	met   *metricsBundle
+	cfg Config
+	mux *http.ServeMux
+	log *slog.Logger
+	met *metricsBundle
 
 	reqSeq atomic.Int64
 
@@ -282,7 +281,6 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		mux:        http.NewServeMux(),
 		log:        cfg.Logger,
-		clock:      cfg.Clock,
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		jobs:       make(map[string]*job),
@@ -517,7 +515,7 @@ func (s *Server) runJob(j *job) {
 		j.opts.Trace = s.met.bridge
 	}
 	if j.opts.Now == nil {
-		j.opts.Now = s.clock.Now
+		j.opts.Now = s.cfg.Clock
 	}
 	if s.cfg.Store != nil {
 		id := j.id
@@ -528,7 +526,7 @@ func (s *Server) runJob(j *job) {
 			})
 		}
 	}
-	start := s.clock.Now()
+	start := s.cfg.Clock()
 	var result *JobResult
 	var err error
 	if s.cfg.Distribute != nil && j.req != nil {
@@ -542,7 +540,7 @@ func (s *Server) runJob(j *job) {
 			result = resultJSON(j.graph, res, j.opts.Board)
 		}
 	}
-	elapsed := s.clock.Now().Sub(start)
+	elapsed := s.cfg.Clock().Sub(start)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.cancel = nil

@@ -9,8 +9,9 @@
 // byte-identical armed or disarmed, pinned by the kway golden diff),
 // and the disarmed hot path is a single predicted branch with zero
 // allocations (pinned by TestFMPassAllocs variants). A Scope is a
-// small value; its zero value is disarmed, so engine configs embed
-// one without any pointer plumbing.
+// small value; its zero value is disarmed, so the engines' one
+// instrumentation handle, trace.Hook, carries one by value next to
+// the event sink without any pointer plumbing.
 //
 // Each process owns one Tracer. Completed spans land in two bounded
 // sinks: a FlightRecorder ring holding the last N spans of this
@@ -226,9 +227,6 @@ func (s Scope) Tracer() *Tracer { return s.t }
 
 // TraceID returns the scope's trace (zero when disarmed).
 func (s Scope) TraceID() TraceID { return s.trace }
-
-// ParentID returns the span new children parent under.
-func (s Scope) ParentID() ID { return s.parent }
 
 // Start begins a span. On a disarmed scope it returns a no-op
 // Running without reading the clock or allocating.

@@ -68,8 +68,8 @@ func TestTelemetryDoesNotPerturbSearch(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	var rec trace.Recorder
 	traced := opts
-	traced.Trace = trace.Multi(telemetry.NewBridge(reg), &rec)
-	traced.Now = steppingClock()
+	traced.Hook.Sink = trace.Multi(telemetry.NewBridge(reg), &rec)
+	traced.Hook.Now = steppingClock()
 	got, err := kway.Partition(g, traced)
 	if err != nil {
 		t.Fatal(err)
@@ -97,8 +97,7 @@ func TestPhaseEventsEmitted(t *testing.T) {
 	var rec trace.Recorder
 	res, err := kway.Partition(g, kway.Options{
 		Library: library.XC3000(), Solutions: 4, Seed: 11, Verify: true,
-		Trace: trace.Multi(bridge, &rec),
-		Now:   steppingClock(),
+		Hook: trace.Hook{Sink: trace.Multi(bridge, &rec), Now: steppingClock()},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"fpgapart/internal/kway"
 	"fpgapart/internal/library"
 	"fpgapart/internal/telemetry"
+	"fpgapart/internal/trace"
 )
 
 // metricValue extracts one un-labelled sample from Prometheus text
@@ -47,7 +48,7 @@ func TestBridgeJointMultilevelParallel(t *testing.T) {
 		Library: library.XC3000(), Solutions: 4, Seed: 9,
 		Multilevel: true, MultilevelMinCells: 200,
 		RefineWorkers: 2,
-		Trace:         bridge,
+		Hook:          trace.Hook{Sink: bridge},
 	})
 	if err != nil {
 		t.Fatal(err)

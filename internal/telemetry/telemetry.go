@@ -518,19 +518,6 @@ func ExpBuckets(start, factor float64, count int) []float64 {
 	return b
 }
 
-// LinearBuckets returns count buckets starting at start, each width
-// apart.
-func LinearBuckets(start, width float64, count int) []float64 {
-	if width <= 0 || count < 1 {
-		panic("telemetry: LinearBuckets wants width > 0, count >= 1")
-	}
-	b := make([]float64, count)
-	for i := range b {
-		b[i] = start + float64(i)*width
-	}
-	return b
-}
-
 // LatencyBuckets is the default request/phase latency layout: 1 ms to
 // ~65 s, doubling.
 func LatencyBuckets() []float64 { return ExpBuckets(0.001, 2, 17) }

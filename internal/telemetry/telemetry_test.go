@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func render(t *testing.T, r *Registry) string {
@@ -197,26 +196,8 @@ func TestBucketHelpers(t *testing.T) {
 	if got := ExpBuckets(1, 2, 4); got[0] != 1 || got[3] != 8 {
 		t.Fatalf("ExpBuckets: %v", got)
 	}
-	if got := LinearBuckets(0, 5, 3); got[0] != 0 || got[2] != 10 {
-		t.Fatalf("LinearBuckets: %v", got)
-	}
 	lb := LatencyBuckets()
 	if lb[0] != 0.001 || lb[len(lb)-1] < 60 {
 		t.Fatalf("LatencyBuckets: %v", lb)
-	}
-}
-
-func TestFakeClock(t *testing.T) {
-	t0 := time.Unix(1000, 0)
-	c := NewFakeClock(t0)
-	if !c.Now().Equal(t0) {
-		t.Fatal("fake clock start")
-	}
-	c.Advance(3 * time.Second)
-	if got := c.Now().Sub(t0); got != 3*time.Second {
-		t.Fatalf("advance: %v", got)
-	}
-	if SystemClock().Now().IsZero() {
-		t.Fatal("system clock returned zero time")
 	}
 }

@@ -16,8 +16,9 @@
 // This package answers "how many / how much" (counters, histograms,
 // JSONL streams); its sibling internal/span answers "when and under
 // what" — durations on a causal tree that crosses process boundaries.
-// The two layers share the engine hooks but are armed independently:
-// trace.Sink on Options.Trace, span.Scope on Options.Spans.
+// The engines reach both through one value, Hook: its Sink receives
+// point events, its span scope times plain spans, and Hook.Phase opens
+// a span and, when a sink is armed, the matching KindPhase timing.
 package trace
 
 import (
@@ -26,6 +27,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
+
+	"fpgapart/internal/span"
 )
 
 // Kind discriminates events.
@@ -179,13 +183,81 @@ type Sink interface {
 	Event(e Event)
 }
 
-// Noop discards every event. Hot paths prefer a nil Sink (guarded by a
-// nil-check); Noop exists for call sites that want an always-valid
-// sink value.
-type Noop struct{}
+// Hook is the one instrumentation handle the engines carry in their
+// configs (kway.Options, multilevel.Config, fm.Config, parfm.Config).
+// It is passed by value; its zero value is fully disarmed: no events,
+// no spans, no clock reads. Instrumentation feeds observability only —
+// never search decisions — so fixed-seed results are byte-identical
+// armed or disarmed.
+type Hook struct {
+	// Sink receives point events (nil = none). It must be safe for
+	// concurrent use.
+	Sink Sink
+	// Spans is the scope new spans start under (zero = disarmed).
+	Spans span.Scope
+	// Attempt labels the hook's spans and events with the enclosing
+	// search attempt (-1 outside any attempt); fault injection reads
+	// it too.
+	Attempt int
+	// Now times KindPhase events (nil = time.Now). It is read only
+	// while a sink is armed; spans keep their tracer's own clock.
+	Now func() time.Time
+}
 
-// Event implements Sink.
-func (Noop) Event(Event) {}
+// Event passes e to the sink, if one is armed.
+func (h Hook) Event(e Event) {
+	if h.Sink != nil {
+		h.Sink.Event(e)
+	}
+}
+
+// At returns the hook relabeled for attempt.
+func (h Hook) At(attempt int) Hook {
+	h.Attempt = attempt
+	return h
+}
+
+// Start begins a plain span labeled with the hook's attempt. On a
+// disarmed scope it is a single branch returning a no-op Running.
+func (h Hook) Start(name string) span.Running {
+	return h.Spans.Start(name, h.Attempt)
+}
+
+// Phase begins a timed engine phase: a span named after the phase and,
+// only when a sink is armed, a Now reading at start and at End that
+// End reports as one KindPhase event.
+func (h Hook) Phase(name string) Phase {
+	var p Phase
+	if h.Sink != nil {
+		p.hook = h
+		if p.hook.Now == nil {
+			p.hook.Now = time.Now
+		}
+		p.start = p.hook.Now()
+	}
+	p.run = h.Start(name)
+	p.name = name
+	return p
+}
+
+// Phase is an in-flight engine phase (see Hook.Phase).
+type Phase struct {
+	run   span.Running
+	hook  Hook // zero unless a sink is armed
+	name  string
+	start time.Time
+}
+
+// Scope returns the phase span's child scope.
+func (p Phase) Scope() span.Scope { return p.run.Scope() }
+
+// End completes the phase span and emits the phase's KindPhase event.
+func (p Phase) End() {
+	p.run.End()
+	if p.hook.Sink != nil {
+		p.hook.Sink.Event(Event{Kind: KindPhase, Attempt: p.hook.Attempt, Phase: p.name, Dur: p.hook.Now().Sub(p.start)})
+	}
+}
 
 // Counters aggregates the event stream into totals.
 type Counters struct {
@@ -393,8 +465,34 @@ func appendIntField(b []byte, name string, v int) []byte {
 func appendStringField(b []byte, name, v string) []byte {
 	b = append(b, ',', '"')
 	b = append(b, name...)
-	b = append(b, `":`...)
-	return strconv.AppendQuote(b, v)
+	b = append(b, `":"`...)
+	// JSON, not Go, quoting: reasons can carry arbitrary bytes from
+	// user input (a board file's name). Quotes, backslashes and control
+	// bytes are escaped; invalid UTF-8 becomes U+FFFD.
+	const hex = "0123456789abcdef"
+	for i := 0; i < len(v); {
+		c := v[i]
+		if c >= utf8.RuneSelf {
+			r, size := utf8.DecodeRuneInString(v[i:])
+			if r == utf8.RuneError && size == 1 {
+				b = append(b, `\ufffd`...)
+			} else {
+				b = append(b, v[i:i+size]...)
+			}
+			i += size
+			continue
+		}
+		switch {
+		case c == '"' || c == '\\':
+			b = append(b, '\\', c)
+		case c < 0x20:
+			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+		default:
+			b = append(b, c)
+		}
+		i++
+	}
+	return append(b, '"')
 }
 
 // Multi fans every event out to each sink in order. Nil sinks are

@@ -6,6 +6,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"fpgapart/internal/span"
 )
 
 func TestAggCounters(t *testing.T) {
@@ -55,7 +58,13 @@ func TestJSONLWellFormed(t *testing.T) {
 		{Kind: KindCarveRejected, Attempt: 0, Area: 80, Terminals: 99, Reason: "terminals", Device: "XC3020"},
 		{Kind: KindSolution, Attempt: 0, Feasible: true, Cost: 756.5, Parts: 4, Improved: true},
 		{Kind: KindSolution, Attempt: 1, Feasible: false, Reason: "no feasible carve"},
+		// Reasons can carry user bytes (a board name): control bytes,
+		// quotes and invalid UTF-8 must still yield valid JSON.
+		{Kind: KindSolution, Attempt: 5, Reason: "bell\a"},
+		{Kind: KindSolution, Attempt: 6, Reason: "ctl\x01 \"q\" \\"},
+		{Kind: KindSolution, Attempt: 7, Reason: "bad\xffutf8 é"},
 	}
+	wantReason := map[int]string{5: "bell\a", 6: "ctl\x01 \"q\" \\", 7: "bad\ufffdutf8 é"}
 	for _, e := range events {
 		j.Event(e)
 	}
@@ -76,6 +85,9 @@ func TestJSONLWellFormed(t *testing.T) {
 		}
 		if int(m["attempt"].(float64)) != events[i].Attempt {
 			t.Fatalf("line %d attempt %v, want %d", i, m["attempt"], events[i].Attempt)
+		}
+		if want, ok := wantReason[events[i].Attempt]; ok && m["reason"] != want {
+			t.Fatalf("line %d reason %q, want %q", i, m["reason"], want)
 		}
 	}
 	// Spot-check typed fields survive the hand-rolled encoder.
@@ -226,5 +238,32 @@ func TestJSONLSteadyStateAllocFree(t *testing.T) {
 	j.Event(e) // warm the buffer
 	if avg := testing.AllocsPerRun(100, func() { j.Event(e) }); avg > 1 {
 		t.Fatalf("JSONL.Event allocates %v times at steady state", avg)
+	}
+}
+
+// A phase reads the hook's clock exactly twice, and only while a sink
+// is armed; its span keeps the tracer's clock either way.
+func TestHookPhase(t *testing.T) {
+	reads := 0
+	now := func() time.Time { reads++; return time.Unix(0, int64(reads)*int64(time.Millisecond)) }
+	tr := span.NewTracer(span.Options{Now: func() time.Time { return time.Unix(0, 0) }, Origin: 1})
+	root := tr.Root(span.DeriveTraceID("hook", 1, 1), 0)
+
+	Hook{Spans: root, Attempt: 3, Now: now}.Phase(PhaseFold).End()
+	if reads != 0 {
+		t.Fatalf("disarmed sink: clock read %d times, want 0", reads)
+	}
+	var rec Recorder
+	Hook{Sink: &rec, Spans: root, Attempt: 3, Now: now}.Phase(PhaseFold).End()
+	if reads != 2 {
+		t.Fatalf("armed sink: clock read %d times, want 2", reads)
+	}
+	got := rec.Filter(KindPhase)
+	if len(got) != 1 || got[0].Phase != PhaseFold || got[0].Attempt != 3 || got[0].Dur != time.Millisecond {
+		t.Fatalf("phase events %+v", got)
+	}
+	spans, _ := tr.Collector().Trace(root.TraceID())
+	if len(spans) != 2 || spans[0].Name != PhaseFold || spans[1].Attempt != 3 {
+		t.Fatalf("phase spans %+v", spans)
 	}
 }
